@@ -7,6 +7,7 @@ constructors used by the recognizer oracles, and DOT/JSON export.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -46,14 +47,12 @@ class Graph:
         return bool((self.rows[i] >> j) & 1)
 
     def edges(self):
-        for i in range(self.n):
-            ri = self.rows[i] >> (i + 1)
-            j = i + 1
+        for i, ri in enumerate(self.rows):
+            ri >>= i + 1
             while ri:
-                if ri & 1:
-                    yield (i, j)
-                ri >>= 1
-                j += 1
+                low = ri & -ri
+                yield (i, i + low.bit_length())
+                ri ^= low
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -101,22 +100,45 @@ def empty_graph(n: int) -> Graph:
 
 def build_idempotent_graph(ring: FiniteRing, max_size: int = DEFAULT_MAX_RING_SIZE) -> Graph:
     """Vertices are ring elements in enumeration order; x ~ y iff x + y is
-    idempotent (x != y; no loops even when 2x is idempotent)."""
+    idempotent (x != y; no loops even when 2x is idempotent).
+
+    Works on element indices, never on tuples.  The index of an element is
+    a mixed-radix number whose digits are its coefficients, factor by
+    factor, each in base its factor's modulus, most significant first: the
+    order of ``ring.elements``.  The idempotents of a product are the tuples
+    of the factors' idempotents, so the neighbours e - x of x = (a, rest)
+    are the first factor's e_1 - a, each combined with a neighbour of rest
+    in the product of the remaining factors.  Rows are therefore built from
+    the last factor to the first: the row of (a, rest) is the row of rest
+    shifted by (e_1 - a) times the size of the remaining product, OR-ed
+    over e_1, with e_1 - a computed digit by digit.
+    """
     if ring.size > max_size:
         raise RingSizeError(
             f"ring has {ring.size} elements, exceeding the bound {max_size}"
         )
     ids = idempotents(ring)
-    index = ring.index
-    rows = [0] * ring.size
-    for i, x in enumerate(ring.elements):
-        nx = ring.neg(x)
-        row = 0
-        for e in ids:
-            j = index[ring.add(e, nx)]
-            if j != i:
-                row |= 1 << j
-        rows[i] = row
+    rows = [1]  # the product of no factors: one element, adjacent to itself
+    for k in range(len(ring.spec.factors) - 1, -1, -1):
+        f = ring.spec.factors[k]
+        m = f.modulus
+        factor_ids = {e[k] for e in ids}
+        width = len(rows)
+        wider = []
+        for a in itertools.product(range(m), repeat=f.degree):
+            shifts = []
+            for e in factor_ids:
+                j = 0
+                for ec, ac in zip(e, a):
+                    j = j * m + (ec - ac) % m
+                shifts.append(j * width)
+            for r in rows:
+                row = 0
+                for s in shifts:
+                    row |= r << s
+                wider.append(row)
+        rows = wider
+    rows = [r & ~(1 << i) for i, r in enumerate(rows)]
     labels = tuple(ring.label(x) for x in ring.elements)
     return Graph(ring.size, rows, labels)
 

@@ -118,12 +118,24 @@ def format_ring_spec(spec: RingSpec) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_size: int):
         self.text = text
         self.pos = 0
+        self.max_size = max_size
 
     def error(self, msg: str):
         raise RingSpecError(msg, self.pos)
+
+    def bound(self, factor: str, modulus: int, degree: int = 1):
+        """Reject a factor of modulus**degree elements above the size bound
+        before any work depends on it; never computes a huge power."""
+        size = 1
+        for _ in range(degree):
+            size *= modulus
+            if size > self.max_size:
+                raise RingSizeError(
+                    f"factor {factor} has more than {self.max_size} elements"
+                )
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -155,6 +167,7 @@ class _Parser:
             self.expect("(")
             q = self.nat()
             self.expect(")")
+            self.bound(f"GF({q})", q)
             return self.galois_factor(q)
         if self.peek() != "Z":
             self.error("expected a factor ('Z<n>', 'Z<n>[x]/(f)' or 'GF(q)')")
@@ -162,6 +175,7 @@ class _Parser:
         n = self.nat()
         if n < 2:
             self.error(f"modulus must be >= 2, got {n}")
+        self.bound(f"Z{n}", n)
         if self.peek() == "[":
             self.expect("[")
             self.expect("x")
@@ -206,6 +220,7 @@ class _Parser:
             else:
                 break
         degree = max((p for p, c in coeffs.items() if c % n != 0), default=0)
+        self.bound(f"Z{n}[x]/(f) with deg f = {degree}", n, degree)
         return tuple(coeffs.get(i, 0) % n for i in range(degree + 1))
 
     def term(self) -> tuple[int, int]:
@@ -234,9 +249,13 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def parse_ring_spec(text: str) -> RingSpec:
-    """Parse spec text like "Z4 * Z2" or "Z3[x]/(x^2) * GF(4)"."""
-    p = _Parser(text)
+def parse_ring_spec(text: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingSpec:
+    """Parse spec text like "Z4 * Z2" or "Z3[x]/(x^2) * GF(4)".
+
+    Raises RingSizeError as soon as one factor would have more than
+    max_size elements, before factoring its size or building its polynomial.
+    """
+    p = _Parser(text, max_size)
     factors = [p.factor()]
     while True:
         p.skip_ws()
@@ -343,7 +362,7 @@ class FiniteRing:
 
 def build_ring(spec: RingSpec | str, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteRing:
     if isinstance(spec, str):
-        spec = parse_ring_spec(spec)
+        spec = parse_ring_spec(spec, max_size=max_size)
     return FiniteRing(spec, max_size=max_size)
 
 
@@ -410,9 +429,20 @@ def primitive_idempotents(ring: FiniteRing) -> list[LocalFactorProfile]:
         if minimal:
             atoms.append(e)
     atoms.sort(key=ring.index.__getitem__)
+    # x -> x*e acts on each spec factor separately, so |R e| is the product
+    # over spec factors k of |R_k e_k|, read off the elements that are zero
+    # outside factor k: in enumeration order, the multiples of the number
+    # of elements of the later factors.
+    strides = []
+    stride = ring.size
+    for f in ring.spec.factors:
+        stride //= f.size
+        strides.append((f.size, stride))
     profiles = []
     for e in atoms:
-        factor_size = len({ring.mul(x, e) for x in ring.elements})
+        factor_size = 1
+        for k, (size, stride) in enumerate(strides):
+            factor_size *= len({ring.mul(ring.elements[i * stride], e)[k] for i in range(size)})
         factor_char = ring.additive_order(e)
         profiles.append(
             LocalFactorProfile(

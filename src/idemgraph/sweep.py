@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -89,8 +90,11 @@ def run_sweep(config: SweepConfig) -> dict:
     config.validate()
     specs = enumerate_sweep_specs(config)
     jobs = [(s, config.max_ring_size) for s in specs]
-    if config.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    # The pool starts every worker at once, so never ask for more than
+    # there are CPUs or rings.
+    workers = min(config.parallelism, os.cpu_count() or 1, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_classify_one, jobs))
     else:
         reports = [_classify_one(j) for j in jobs]

@@ -24,7 +24,6 @@ from .rings import (
     DEFAULT_MAX_RING_SIZE,
     FiniteRing,
     LocalFactorProfile,
-    additive_closure,
     format_ring_spec,
     idempotents,
     is_local,
@@ -32,14 +31,23 @@ from .rings import (
 )
 
 
-def predict_connected(ring: FiniteRing) -> bool:
-    """Connected iff the ring is additively generated by its idempotents."""
-    return len(additive_closure(ring, idempotents(ring))) == ring.size
+def predict_connected(ring: FiniteRing, profiles: list[LocalFactorProfile] | None = None) -> bool:
+    """Connected iff the ring is additively generated by its idempotents.
+
+    The idempotents generate the sum of the local factors' prime subrings,
+    so that holds iff every local factor has characteristic equal to its
+    size (``rings.additive_closure`` is the reference the tests compare).
+    """
+    if profiles is None:
+        profiles = primitive_idempotents(ring)
+    return all(p.generated_by_idempotents for p in profiles)
 
 
-def predict_path(ring: FiniteRing) -> bool:
+def predict_path(ring: FiniteRing, profiles: list[LocalFactorProfile] | None = None) -> bool:
     """Path graph iff connected and only the trivial idempotents exist."""
-    return predict_connected(ring) and is_local(ring)
+    if profiles is None:
+        profiles = primitive_idempotents(ring)
+    return len(profiles) == 1 and predict_connected(ring, profiles)
 
 
 def predict_planar(ring: FiniteRing, profiles: list[LocalFactorProfile] | None = None) -> bool | None:
@@ -154,11 +162,12 @@ class TheoremPrediction:
     unicyclic: bool | None
 
 
-def predict_all(ring: FiniteRing) -> TheoremPrediction:
-    profiles = primitive_idempotents(ring)
+def predict_all(ring: FiniteRing, profiles: list[LocalFactorProfile] | None = None) -> TheoremPrediction:
+    if profiles is None:
+        profiles = primitive_idempotents(ring)
     return TheoremPrediction(
-        connected=predict_connected(ring),
-        path_graph=predict_path(ring),
+        connected=predict_connected(ring, profiles),
+        path_graph=predict_path(ring, profiles),
         planar=predict_planar(ring, profiles),
         outerplanar=predict_outerplanar(ring, profiles),
         split=predict_split(ring, profiles),
@@ -253,7 +262,8 @@ def cross_validate(ring: FiniteRing, max_size: int = DEFAULT_MAX_RING_SIZE) -> C
     record any disagreement between a prediction and the graph verdict."""
     g = build_idempotent_graph(ring, max_size=max_size)
     recognized = recognize_all(g)
-    predicted = predict_all(ring)
+    profiles = primitive_idempotents(ring)
+    predicted = predict_all(ring, profiles)
     census = component_census(g)
     mismatches: list[dict] = []
     pairs = {
@@ -278,7 +288,7 @@ def cross_validate(ring: FiniteRing, max_size: int = DEFAULT_MAX_RING_SIZE) -> C
             {"property": "degree_formula", "predicted": "true", "recognized": False}
         )
     structure_ok: bool | None = None
-    if is_local(ring):
+    if len(profiles) == 1:
         structure_ok = verify_component_structure(ring, g)
         if not structure_ok:
             mismatches.append(
@@ -289,7 +299,7 @@ def cross_validate(ring: FiniteRing, max_size: int = DEFAULT_MAX_RING_SIZE) -> C
         size=ring.size,
         characteristic=ring.characteristic,
         num_idempotents=len(idempotents(ring)),
-        factors=primitive_idempotents(ring),
+        factors=profiles,
         graph_n=g.n,
         graph_edges=g.edge_count(),
         component_count=len(census),

@@ -1,7 +1,10 @@
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
+from idemgraph import sweep
 from idemgraph.cli import main
 from idemgraph.sweep import (
     DEFAULT_CATALOG,
@@ -11,6 +14,25 @@ from idemgraph.sweep import (
     run_sweep,
     summary_json,
 )
+
+
+class Overtime(Exception):
+    """Raised by time_budget; not an error type the CLI turns into exit 1."""
+
+
+@contextmanager
+def time_budget(seconds):
+    """Interrupt the block with Overtime if it runs longer than seconds."""
+    def expire(signum, frame):
+        raise Overtime(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSweepEnumeration:
@@ -69,6 +91,42 @@ class TestSweep:
         a["config"]["parallelism"] = b["config"]["parallelism"]
         assert summary_json(a) == summary_json(b)
 
+    def test_jobs_clamped_to_cpus_and_rings(self, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            # stands in for ProcessPoolExecutor: records the pool size and
+            # runs the jobs in this process, so no worker is ever started
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+        cfg = dict(max_ring_size=24, max_factors=2)
+        wide = run_sweep(SweepConfig(**cfg, parallelism=10**9))
+        assert asked == [3]
+        assert wide["config"]["parallelism"] == 10**9
+        narrow = run_sweep(SweepConfig(**cfg, parallelism=1))
+        narrow["config"]["parallelism"] = wide["config"]["parallelism"]
+        assert summary_json(narrow) == summary_json(wide)
+        # Z2, Z3 and Z2 * Z2: three rings, so three workers at most
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+        run_sweep(SweepConfig(max_ring_size=4, max_factors=2, catalog=("Z2", "Z3"), parallelism=64))
+        assert asked == [3, 3]
+        # one CPU: no pool at all
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
+        run_sweep(SweepConfig(**cfg, parallelism=8))
+        assert asked == [3, 3]
+
     def test_summary_deterministic(self):
         a = summary_json(run_sweep(SweepConfig(max_ring_size=24, max_factors=2)))
         b = summary_json(run_sweep(SweepConfig(max_ring_size=24, max_factors=2)))
@@ -98,6 +156,12 @@ class TestCli:
 
     def test_classify_size_error_exit_1(self, capsys):
         assert main(["classify", "Z100 * Z100"]) == 1
+
+    @pytest.mark.parametrize("spec", ["GF(1000000000000000003)", "Z2[x]/(x^99999999999)"])
+    def test_classify_oversized_factor_exit_1_fast(self, spec, capsys):
+        with time_budget(1.0):
+            assert main(["classify", spec]) == 1
+        assert "more than 4096 elements" in capsys.readouterr().err
 
     def test_classify_writes_dot(self, tmp_path, capsys):
         dot = tmp_path / "g.dot"

@@ -64,9 +64,13 @@ class TestBuildIdempotentGraph:
         g = build_idempotent_graph(build_ring("Z2 * Z2"))
         assert all(not (g.rows[i] >> i) & 1 for i in range(g.n))
 
-    def test_adjacency_definition_against_pair_scan(self):
-        # independent oracle: O(n^2) scan of x + y over the raw elements
-        r = build_ring("Z12")
+    @pytest.mark.parametrize(
+        "spec", ["Z12", "Z3[x]/(x^2) * Z2", "GF(4) * Z4", "Z2 * GF(8)", "Z6 * Z2[x]/(x^2)"]
+    )
+    def test_adjacency_definition_against_pair_scan(self, spec):
+        # independent oracle: O(n^2) scan of x + y over the raw elements;
+        # multi-digit, multi-factor specs exercise the digit order
+        r = build_ring(spec)
         ids = idempotents(r)
         g = build_idempotent_graph(r)
         for i, x in enumerate(r.elements):

@@ -13,6 +13,18 @@ from idemgraph.rings import (
     parse_ring_spec,
     primitive_idempotents,
 )
+from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
+from idemgraph.theorems import predict_connected
+
+
+# Hand-picked rings, among them Z6[x]/(x^2), whose local factors are not
+# generated by their idempotents, and every ring of the default sweep.
+CLOSURE_SPECS = list(
+    dict.fromkeys(
+        ["Z4", "Z6", "Z9", "GF(4)", "Z3[x]/(x^2)", "GF(4) * Z2", "Z2 * Z9", "Z12", "Z6[x]/(x^2)"]
+        + enumerate_sweep_specs(SweepConfig())
+    )
+)
 
 
 def labels(ring, elems):
@@ -97,6 +109,19 @@ class TestBuildRing:
         with pytest.raises(RingSizeError):
             build_ring("Z100 * Z100")
         build_ring("Z100 * Z100", max_size=10_000)
+
+    @pytest.mark.parametrize(
+        "text", ["Z5000", "GF(4099)", "Z2[x]/(x^13)", "Z3[x]/(x^8 + 1) * Z2"]
+    )
+    def test_oversized_factor_rejected_by_parser(self, text):
+        with pytest.raises(RingSizeError):
+            parse_ring_spec(text)
+
+    def test_parser_bound_follows_max_size(self):
+        assert parse_ring_spec("Z5000", max_size=5000).size == 5000
+        assert parse_ring_spec("Z2[x]/(x^13)", max_size=8192).size == 8192
+        # a vanishing leading term does not count towards the degree
+        assert parse_ring_spec("Z2[x]/(2x^64 + x^2)").size == 4
 
     def test_enumeration_deterministic_lexicographic(self):
         r = build_ring("Z3 * Z2")
@@ -236,19 +261,20 @@ class TestPrimitiveIdempotents:
             size_product *= p.factor_size
             assert p.factor_size % p.factor_char == 0
             assert p.generated_by_idempotents == (p.factor_char == p.factor_size)
+            assert p.factor_size == len({r.mul(x, p.idempotent) for x in r.elements})
         for i, p in enumerate(profiles):
             for q in profiles[i + 1:]:
                 assert r.mul(p.idempotent, q.idempotent) == r.zero
         assert total == r.one
         assert size_product == r.size
 
-    @pytest.mark.parametrize(
-        "spec", ["Z4", "Z6", "Z9", "GF(4)", "Z3[x]/(x^2)", "GF(4) * Z2", "Z2 * Z9"]
-    )
+    @pytest.mark.parametrize("spec", CLOSURE_SPECS)
     def test_closure_iff_all_factors_generated(self, spec):
+        # additive_closure is the oracle for predict_connected's closed form
         r = build_ring(spec)
         closed = additive_closure(r, idempotents(r)) == set(r.elements)
         assert closed == all(p.generated_by_idempotents for p in primitive_idempotents(r))
+        assert predict_connected(r) is closed
 
 
 class TestIsLocal:

@@ -41,7 +41,7 @@ from .rings import (
     parse_ring_spec,
     primitive_idempotents,
 )
-from .theorems import ClassificationReport, TheoremPrediction, cross_validate
+from .theorems import PROPERTIES, ClassificationReport, Property, cross_validate, predict_all
 
 __all__ = [
     "Graph",
@@ -51,7 +51,8 @@ __all__ = [
     "RingSizeError",
     "LocalFactorProfile",
     "Verdict",
-    "TheoremPrediction",
+    "Property",
+    "PROPERTIES",
     "ClassificationReport",
     "parse_ring_spec",
     "format_ring_spec",
@@ -76,6 +77,7 @@ __all__ = [
     "is_cograph",
     "is_cactus",
     "is_unicyclic",
+    "predict_all",
     "cross_validate",
 ]
 

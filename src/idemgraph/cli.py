@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Commands:
-  classify <spec> [--json] [--dot PATH] [--labels]
+  classify <spec> [--json] [--dot PATH] [--labels] [--max-size N]
   verify   [--max-size N] [--max-factors K] [--catalog FILE] [--jobs P] [--json]
   selftest [--exhaustive-n N] [--random-count C] [--random-n M] [--seed S]
-  export   <spec> --dot FILE [--labels]
+  export   <spec> --dot FILE [--labels] [--max-size N]
+
+--max-size N must lie in [1, rings.DEFAULT_MAX_RING_SIZE] wherever it is taken.
 
 Exit codes: 0 success, 1 usage/input error, 2 prediction/recognizer mismatch.
 """
@@ -15,7 +17,7 @@ import argparse
 import sys
 
 from .graphs import build_idempotent_graph, export_dot
-from .rings import RingSizeError, RingSpecError, build_ring
+from .rings import DEFAULT_MAX_RING_SIZE, RingSizeError, RingSpecError, build_ring
 from .selftest import run_selftest
 from .sweep import (
     DEFAULT_CATALOG,
@@ -24,7 +26,7 @@ from .sweep import (
     run_sweep,
     summary_json,
 )
-from .theorems import cross_validate
+from .theorems import PROPERTIES, cross_validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,18 +47,8 @@ def _print_report(report) -> None:
         f"{d['graph']['components']} component(s): {census}"
     )
     print("property      predicted        recognized")
-    for prop in (
-        "connected",
-        "path_graph",
-        "planar",
-        "outerplanar",
-        "split",
-        "threshold",
-        "cograph",
-        "cactus",
-        "unicyclic",
-    ):
-        print(f"  {prop:<12}{d['predicted'][prop]:<17}{str(d['recognized'][prop]).lower()}")
+    for name in (p.name for p in PROPERTIES):
+        print(f"  {name:<12}{d['predicted'][name]:<17}{str(d['recognized'][name]).lower()}")
     print(f"degree formula ok: {d['degree_formula_ok']}")
     if d["component_structure_ok"] is not None:
         print(f"component structure ok: {d['component_structure_ok']}")
@@ -70,9 +62,9 @@ def _print_report(report) -> None:
 
 def cmd_classify(args) -> int:
     ring = build_ring(args.spec, max_size=args.max_size)
-    report = cross_validate(ring, max_size=args.max_size)
+    report = cross_validate(ring)
     if args.dot:
-        g = build_idempotent_graph(ring, max_size=args.max_size)
+        g = build_idempotent_graph(ring)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(g, labels=args.labels))
     if args.json:
@@ -136,10 +128,18 @@ def cmd_selftest(args) -> int:
 
 def cmd_export(args) -> int:
     ring = build_ring(args.spec, max_size=args.max_size)
-    g = build_idempotent_graph(ring, max_size=args.max_size)
+    g = build_idempotent_graph(ring)
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(export_dot(g, labels=args.labels))
     return EXIT_OK
+
+
+def ring_size_bound(text: str) -> int:
+    """A --max-size value: at most the bound the sweep also enforces."""
+    n = int(text)
+    if not 1 <= n <= DEFAULT_MAX_RING_SIZE:
+        raise argparse.ArgumentTypeError(f"must be in [1, {DEFAULT_MAX_RING_SIZE}], got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--dot", metavar="PATH", help="also write the graph as DOT")
     p.add_argument("--labels", action="store_true", help="label DOT nodes with ring elements")
-    p.add_argument("--max-size", type=int, default=4096, help="ring size bound")
+    p.add_argument(
+        "--max-size", type=ring_size_bound, default=DEFAULT_MAX_RING_SIZE, help="ring size bound"
+    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="sweep catalog products and cross-validate")
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--dot", metavar="FILE", required=True)
     p.add_argument("--labels", action="store_true")
-    p.add_argument("--max-size", type=int, default=4096)
+    p.add_argument("--max-size", type=ring_size_bound, default=DEFAULT_MAX_RING_SIZE)
     p.set_defaults(func=cmd_export)
     return parser
 

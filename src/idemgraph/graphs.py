@@ -11,7 +11,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .rings import DEFAULT_MAX_RING_SIZE, FiniteRing, RingSizeError, idempotents
+from .rings import FiniteRing, idempotents
 
 
 class Graph:
@@ -98,7 +98,7 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, [0] * n)
 
 
-def build_idempotent_graph(ring: FiniteRing, max_size: int = DEFAULT_MAX_RING_SIZE) -> Graph:
+def build_idempotent_graph(ring: FiniteRing) -> Graph:
     """Vertices are ring elements in enumeration order; x ~ y iff x + y is
     idempotent (x != y; no loops even when 2x is idempotent).
 
@@ -113,10 +113,6 @@ def build_idempotent_graph(ring: FiniteRing, max_size: int = DEFAULT_MAX_RING_SI
     shifted by (e_1 - a) times the size of the remaining product, OR-ed
     over e_1, with e_1 - a computed digit by digit.
     """
-    if ring.size > max_size:
-        raise RingSizeError(
-            f"ring has {ring.size} elements, exceeding the bound {max_size}"
-        )
     ids = idempotents(ring)
     rows = [1]  # the product of no factors: one element, adjacent to itself
     for k in range(len(ring.spec.factors) - 1, -1, -1):
@@ -143,36 +139,44 @@ def build_idempotent_graph(ring: FiniteRing, max_size: int = DEFAULT_MAX_RING_SI
     return Graph(ring.size, rows, labels)
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    seen = 0
+def masked_components(rows, mask: int) -> list[int]:
+    """Components of the subgraph that the vertex mask induces, as vertex
+    bitmasks ordered by least vertex.  Passing every row XOR-ed with -1
+    walks the complement graph instead."""
     out = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                u = (f & -f).bit_length() - 1
-                nxt |= g.rows[u]
-                f &= f - 1
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        verts = []
-        c = comp
-        while c:
-            verts.append((c & -c).bit_length() - 1)
-            c &= c - 1
-        out.append(verts)
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        rest ^= comp
     return out
 
 
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of a non-negative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def components(g: Graph) -> list[list[int]]:
+    """Connected components as sorted vertex lists, ordered by least vertex."""
+    return [set_bits(c) for c in masked_components(g.rows, (1 << g.n) - 1)]
+
+
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return len(masked_components(g.rows, (1 << g.n) - 1)) <= 1
 
 
 @dataclass(frozen=True)
@@ -183,12 +187,9 @@ class ComponentRecord:
 
 def component_census(g: Graph) -> list[ComponentRecord]:
     out = []
-    for verts in components(g):
-        mask = 0
-        for v in verts:
-            mask |= 1 << v
-        degs = [(g.rows[v] & mask).bit_count() for v in verts]
-        s = len(verts)
+    for comp in masked_components(g.rows, (1 << g.n) - 1):
+        degs = [(g.rows[v] & comp).bit_count() for v in set_bits(comp)]
+        s = len(degs)
         m = sum(degs) // 2
         if m == s - 1 and max(degs, default=0) <= 2:
             shape = "path"
@@ -255,22 +256,3 @@ def export_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
     return graph_from_edges(data["n"], [tuple(e) for e in data["edges"]])
-
-
-def induced_subgraph(g: Graph, verts) -> Graph:
-    """Subgraph induced by the given vertices, relabeled 0..k-1 in sorted order."""
-    vs = sorted(verts)
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (pos[a], pos[b])
-        for a in vs
-        for b in vs
-        if a < b and g.has_edge(a, b)
-    ]
-    return graph_from_edges(len(vs), edges)
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    """New graph with vertex v renamed perm[v]."""
-    edges = [(perm[i], perm[j]) for i, j in g.edges()]
-    return graph_from_edges(g.n, edges)

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import (
-    Graph,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    two_k2,
-)
+from .graphs import Graph, cycle_graph, path_graph, two_k2
 
 MAX_ORACLE_VERTICES = 12
 MAX_PATTERN_VERTICES = 6
@@ -220,21 +213,3 @@ def outerplanar_oracle(g: Graph) -> bool:
     if g.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"{g.n} vertices exceeds the oracle bound {MAX_ORACLE_VERTICES}")
     return not has_minor(g, "K4") and not has_minor(g, "K23")
-
-
-def isomorphic_small(g: Graph, h: Graph) -> bool:
-    """Permutation-exhaustive isomorphism test for tiny graphs (n <= 6)."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if g.n > MAX_PATTERN_VERTICES:
-        raise OracleSizeError("isomorphic_small is for pattern-sized graphs")
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
-    for perm in itertools.permutations(range(g.n)):
-        if all(h.has_edge(perm[i], perm[j]) for i, j in g.edges()) and all(
-            g.has_edge(i, j) == h.has_edge(perm[i], perm[j])
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-        ):
-            return True
-    return False

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_connected, masked_components, set_bits
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,9 @@ def is_planar(g: Graph) -> Verdict:
 
 
 def is_outerplanar(g: Graph) -> Verdict:
+    # An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges.
+    if g.n >= 2 and g.edge_count() > 2 * g.n - 3:
+        return Verdict(False)
     # Standard reduction: outerplanar iff the graph plus an apex vertex
     # adjacent to everything is planar.
     full = (1 << g.n) - 1
@@ -89,15 +92,15 @@ def is_threshold(g: Graph) -> Verdict:
 def is_cograph(g: Graph) -> Verdict:
     """Cotree decomposition: every induced subgraph on >= 2 vertices must be
     disconnected or have a disconnected complement."""
-    full = (1 << g.n) - 1
-    stack = [full] if g.n else []
+    co_rows = [r ^ -1 for r in g.rows]
+    stack = [(1 << g.n) - 1]
     while stack:
         mask = stack.pop()
         if mask.bit_count() < 2:
             continue
-        parts = _masked_components(g, mask)
+        parts = masked_components(g.rows, mask)
         if len(parts) == 1:
-            co_parts = _masked_components_complement(g, mask)
+            co_parts = masked_components(co_rows, mask)
             if len(co_parts) == 1:
                 return Verdict(False)
             stack.extend(co_parts)
@@ -106,52 +109,11 @@ def is_cograph(g: Graph) -> Verdict:
     return Verdict(True)
 
 
-def _masked_components(g: Graph, mask: int) -> list[int]:
-    out = []
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                u = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= g.rows[u] & mask
-            frontier = nxt & ~comp
-            comp |= nxt
-        out.append(comp)
-        rest &= ~comp
-    return out
-
-
-def _masked_components_complement(g: Graph, mask: int) -> list[int]:
-    out = []
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                u = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= mask & ~g.rows[u] & ~(1 << u)
-            frontier = nxt & ~comp
-            comp |= nxt
-        out.append(comp)
-        rest &= ~comp
-    return out
-
-
 def is_cactus(g: Graph) -> Verdict:
     """Connected and every biconnected block is a single edge or a cycle
-    (equivalently: no edge lies on two simple cycles)."""
-    if g.n == 0 or not is_connected(g):
+    (equivalently: no edge lies on two simple cycles).  A cactus has at
+    most 3(n - 1)/2 edges, so denser graphs are rejected without a search."""
+    if g.n == 0 or 2 * g.edge_count() > 3 * (g.n - 1) or not is_connected(g):
         return Verdict(False)
     for block_edges in _biconnected_blocks(g):
         verts = {v for e in block_edges for v in e}
@@ -169,7 +131,7 @@ def _biconnected_blocks(g: Graph):
     for root in range(g.n):
         if disc[root]:
             continue
-        stack = [(root, -1, iter(_neighbors(g, root)))]
+        stack = [(root, -1, iter(set_bits(g.rows[root])))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -180,7 +142,7 @@ def _biconnected_blocks(g: Graph):
                     edge_stack.append((u, v))
                     disc[v] = low[v] = timer
                     timer += 1
-                    stack.append((v, u, iter(_neighbors(g, v))))
+                    stack.append((v, u, iter(set_bits(g.rows[v]))))
                     advanced = True
                     break
                 if v != parent and disc[v] < disc[u]:
@@ -203,13 +165,5 @@ def _biconnected_blocks(g: Graph):
                         yield block
 
 
-def _neighbors(g: Graph, v: int):
-    r = g.rows[v]
-    while r:
-        u = (r & -r).bit_length() - 1
-        r &= r - 1
-        yield u
-
-
 def is_unicyclic(g: Graph) -> Verdict:
-    return Verdict(g.n > 0 and is_connected(g) and g.edge_count() == g.n)
+    return Verdict(g.n > 0 and g.edge_count() == g.n and is_connected(g))

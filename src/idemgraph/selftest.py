@@ -11,31 +11,13 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph, graph_from_edges
-from .oracles import (
-    cograph_oracle,
-    kuratowski_oracle,
-    outerplanar_oracle,
-    split_oracle,
-    threshold_oracle,
-)
-from .recognizers import (
-    is_cograph,
-    is_outerplanar,
-    is_planar,
-    is_split,
-    is_threshold,
-)
+from .theorems import PROPERTIES
 
 MAX_EXHAUSTIVE_N = 7
 MAX_RANDOM_N = 12
 
-_CHECKS = (
-    ("planar", lambda g: is_planar(g).value, kuratowski_oracle),
-    ("outerplanar", lambda g: is_outerplanar(g).value, outerplanar_oracle),
-    ("split", lambda g: is_split(g).value, lambda g: split_oracle(g) is None),
-    ("threshold", lambda g: is_threshold(g).value, lambda g: threshold_oracle(g) is None),
-    ("cograph", lambda g: is_cograph(g).value, lambda g: cograph_oracle(g) is None),
-)
+# The properties that have a brute-force oracle to compare the recognizer with.
+CHECKED = tuple(p for p in PROPERTIES if p.oracle is not None)
 
 
 def all_graphs(n: int):
@@ -60,14 +42,14 @@ def random_graph(n: int, rng: random.Random) -> Graph:
 
 
 def _compare(g: Graph, desc: str, disagreements: list[dict]):
-    for prop, fast, oracle in _CHECKS:
-        a = fast(g)
-        b = oracle(g)
+    for prop in CHECKED:
+        a = prop.recognize(g)
+        b = prop.oracle(g)
         if a != b:
             disagreements.append(
                 {
                     "graph": desc,
-                    "property": prop,
+                    "property": prop.name,
                     "recognizer": a,
                     "oracle": b,
                     "edges": sorted(g.edges()),
@@ -102,7 +84,7 @@ def run_selftest(
         "random_n": random_n,
         "seed": seed,
         "graphs_checked": graphs_checked,
-        "properties": [c[0] for c in _CHECKS],
+        "properties": [p.name for p in CHECKED],
         "disagreement_count": len(disagreements),
         "disagreements": disagreements,
     }

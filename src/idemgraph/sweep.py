@@ -13,10 +13,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .rings import build_ring, format_ring_spec, is_local, parse_ring_spec
+from .rings import DEFAULT_MAX_RING_SIZE, build_ring, format_ring_spec, is_local, parse_ring_spec
 from .theorems import cross_validate
-
-GLOBAL_MAX_RING_SIZE = 4096
 
 # Small local rings covering every characteristic/generated-by-idempotents
 # combination the theorem predicates branch on.
@@ -46,9 +44,9 @@ class SweepConfig:
     parallelism: int = 1
 
     def validate(self):
-        if not (1 <= self.max_ring_size <= GLOBAL_MAX_RING_SIZE):
+        if not (1 <= self.max_ring_size <= DEFAULT_MAX_RING_SIZE):
             raise ValueError(
-                f"max_ring_size must be in [1, {GLOBAL_MAX_RING_SIZE}]"
+                f"max_ring_size must be in [1, {DEFAULT_MAX_RING_SIZE}]"
             )
         if self.max_factors < 1:
             raise ValueError("max_factors must be >= 1")
@@ -82,7 +80,7 @@ def enumerate_sweep_specs(config: SweepConfig) -> list[str]:
 def _classify_one(args: tuple[str, int]) -> dict:
     spec_text, max_size = args
     ring = build_ring(spec_text, max_size=max_size)
-    return cross_validate(ring, max_size=max_size).to_dict()
+    return cross_validate(ring).to_dict()
 
 
 def run_sweep(config: SweepConfig) -> dict:

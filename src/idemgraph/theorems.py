@@ -1,18 +1,22 @@
 """Closed-form predictions about the idempotent graph, computed from ring
 structure alone, and their cross-validation against the graph recognizers.
 
-The characterization results for planarity, outerplanarity, split,
-threshold, cograph, cactus and unicyclic are stated for non-local rings;
-for local rings those predictions are explicitly not-applicable (returned
-as None) rather than silently extended.
+`PROPERTIES` is the one list of the graph properties the paper
+characterizes.  Each row names a property, predicts it from the
+primitive-idempotent profiles of the ring's local factors, recognizes it on
+the graph, and, where one exists, decides it by brute force.  The results
+for planarity, outerplanarity, split, threshold, cograph, cactus and
+unicyclic are stated for non-local rings; for local rings those predictions
+are explicitly not-applicable (None) rather than silently extended.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import recognizers
+from . import oracles, recognizers
 from .graphs import (
     Graph,
     build_idempotent_graph,
@@ -21,7 +25,6 @@ from .graphs import (
     is_path_graph,
 )
 from .rings import (
-    DEFAULT_MAX_RING_SIZE,
     FiniteRing,
     LocalFactorProfile,
     format_ring_spec,
@@ -30,93 +33,107 @@ from .rings import (
     primitive_idempotents,
 )
 
+Profiles = list[LocalFactorProfile]
 
-def predict_connected(ring: FiniteRing, profiles: list[LocalFactorProfile] | None = None) -> bool:
+
+def predict_connected(profiles: Profiles) -> bool:
     """Connected iff the ring is additively generated by its idempotents.
 
     The idempotents generate the sum of the local factors' prime subrings,
     so that holds iff every local factor has characteristic equal to its
     size (``rings.additive_closure`` is the reference the tests compare).
     """
-    if profiles is None:
-        profiles = primitive_idempotents(ring)
     return all(p.generated_by_idempotents for p in profiles)
 
 
-def predict_path(ring: FiniteRing, profiles: list[LocalFactorProfile] | None = None) -> bool:
+def predict_path(profiles: Profiles) -> bool:
     """Path graph iff connected and only the trivial idempotents exist."""
-    if profiles is None:
-        profiles = primitive_idempotents(ring)
-    return len(profiles) == 1 and predict_connected(ring, profiles)
+    return len(profiles) == 1 and predict_connected(profiles)
 
 
-def predict_planar(ring: FiniteRing, profiles: list[LocalFactorProfile] | None = None) -> bool | None:
-    """Planar iff exactly two local factors and (i) both additively generated
-    by idempotents, or (ii) one generated and the other of characteristic 2,
-    or (iii) both of characteristic 2.  None for local rings."""
-    if profiles is None:
-        profiles = primitive_idempotents(ring)
-    if len(profiles) < 2:
-        return None
-    if len(profiles) != 2:
-        return False
-    p, q = profiles
-    if p.generated_by_idempotents and q.generated_by_idempotents:
-        return True
-    if p.generated_by_idempotents and q.factor_char == 2:
-        return True
-    if q.generated_by_idempotents and p.factor_char == 2:
-        return True
-    if p.factor_char == 2 and q.factor_char == 2:
-        return True
+def predict_planar(profiles: Profiles) -> bool:
+    """Planar iff exactly two local factors, each additively generated by
+    idempotents or of characteristic 2."""
+    return len(profiles) == 2 and all(
+        p.generated_by_idempotents or p.factor_char == 2 for p in profiles
+    )
+
+
+def predict_never(profiles: Profiles) -> bool:
+    """Outerplanar, cactus and unicyclic: never, for a non-local ring."""
     return False
 
 
-def predict_outerplanar(ring: FiniteRing, profiles=None) -> bool | None:
-    """Never outerplanar for a non-local ring; None for local rings."""
-    if profiles is None:
-        profiles = primitive_idempotents(ring)
-    return None if len(profiles) < 2 else False
-
-
-def predict_cactus(ring: FiniteRing, profiles=None) -> bool | None:
-    if profiles is None:
-        profiles = primitive_idempotents(ring)
-    return None if len(profiles) < 2 else False
-
-
-def predict_unicyclic(ring: FiniteRing, profiles=None) -> bool | None:
-    if profiles is None:
-        profiles = primitive_idempotents(ring)
-    return None if len(profiles) < 2 else False
-
-
-def predict_split(ring: FiniteRing, profiles=None) -> bool | None:
-    """Split iff every local factor is Z_2; None for local rings."""
-    if profiles is None:
-        profiles = primitive_idempotents(ring)
-    if len(profiles) < 2:
-        return None
+def predict_split(profiles: Profiles) -> bool:
+    """Split iff every local factor is Z_2.  Split and threshold coincide
+    for idempotent graphs of non-local rings."""
     return all(p.factor_size == 2 for p in profiles)
 
 
-def predict_threshold(ring: FiniteRing, profiles=None) -> bool | None:
-    # Split and threshold coincide for idempotent graphs of non-local rings.
-    return predict_split(ring, profiles)
-
-
-def predict_cograph(ring: FiniteRing, profiles=None) -> bool | None:
+def predict_cograph(profiles: Profiles) -> bool:
     """Cograph iff every factor has characteristic 2, or exactly one factor
-    is Z_3 and every other has characteristic 2.  None for local rings."""
+    is Z_3 and every other has characteristic 2."""
+    odd = [p for p in profiles if p.factor_char != 2]
+    return not odd or (len(odd) == 1 and odd[0].is_z3)
+
+
+@dataclass(frozen=True)
+class Property:
+    """A graph property: whether its prediction is stated for non-local rings
+    only (and so is None for a local ring), its prediction from the
+    local-factor profiles, its recognizer, and its brute-force oracle."""
+
+    name: str
+    nonlocal_only: bool
+    predict: Callable[[Profiles], bool]
+    recognize: Callable[[Graph], bool]
+    oracle: Callable[[Graph], bool] | None = None
+
+
+# Rows look recognizers, is_connected and predict_connected up when called,
+# not when the table is built, so a function replaced in its module (say,
+# by a tracer) is the one that runs.
+PROPERTIES: tuple[Property, ...] = (
+    Property("connected", False, lambda ps: predict_connected(ps), lambda g: is_connected(g)),
+    Property("path_graph", False, predict_path, is_path_graph),
+    Property(
+        "planar", True, predict_planar,
+        lambda g: recognizers.is_planar(g).value, oracles.kuratowski_oracle,
+    ),
+    Property(
+        "outerplanar", True, predict_never,
+        lambda g: recognizers.is_outerplanar(g).value, oracles.outerplanar_oracle,
+    ),
+    Property(
+        "split", True, predict_split,
+        lambda g: recognizers.is_split(g).value, lambda g: oracles.split_oracle(g) is None,
+    ),
+    Property(
+        "threshold", True, predict_split,
+        lambda g: recognizers.is_threshold(g).value, lambda g: oracles.threshold_oracle(g) is None,
+    ),
+    Property(
+        "cograph", True, predict_cograph,
+        lambda g: recognizers.is_cograph(g).value, lambda g: oracles.cograph_oracle(g) is None,
+    ),
+    Property("cactus", True, predict_never, lambda g: recognizers.is_cactus(g).value),
+    Property("unicyclic", True, predict_never, lambda g: recognizers.is_unicyclic(g).value),
+)
+
+
+def predict_all(ring: FiniteRing, profiles: Profiles | None = None) -> dict[str, bool | None]:
+    """Every prediction, in table order; None marks not-applicable."""
     if profiles is None:
         profiles = primitive_idempotents(ring)
-    if len(profiles) < 2:
-        return None
-    if all(p.factor_char == 2 for p in profiles):
-        return True
-    z3 = [p for p in profiles if p.is_z3]
-    rest = [p for p in profiles if not p.is_z3]
-    return len(z3) == 1 and all(p.factor_char == 2 for p in rest)
+    local = len(profiles) == 1
+    return {
+        p.name: None if p.nonlocal_only and local else p.predict(profiles)
+        for p in PROPERTIES
+    }
+
+
+def recognize_all(g: Graph) -> dict[str, bool]:
+    return {p.name: p.recognize(g) for p in PROPERTIES}
 
 
 def verify_degree_formula(ring: FiniteRing, g: Graph) -> bool:
@@ -147,51 +164,6 @@ def verify_component_structure(ring: FiniteRing, g: Graph) -> bool:
     return len(path_sizes) <= 1 and len(cycle_sizes) <= 1
 
 
-@dataclass(frozen=True)
-class TheoremPrediction:
-    """Predicted graph properties; None marks not-applicable (local ring)."""
-
-    connected: bool
-    path_graph: bool
-    planar: bool | None
-    outerplanar: bool | None
-    split: bool | None
-    threshold: bool | None
-    cograph: bool | None
-    cactus: bool | None
-    unicyclic: bool | None
-
-
-def predict_all(ring: FiniteRing, profiles: list[LocalFactorProfile] | None = None) -> TheoremPrediction:
-    if profiles is None:
-        profiles = primitive_idempotents(ring)
-    return TheoremPrediction(
-        connected=predict_connected(ring, profiles),
-        path_graph=predict_path(ring, profiles),
-        planar=predict_planar(ring, profiles),
-        outerplanar=predict_outerplanar(ring, profiles),
-        split=predict_split(ring, profiles),
-        threshold=predict_threshold(ring, profiles),
-        cograph=predict_cograph(ring, profiles),
-        cactus=predict_cactus(ring, profiles),
-        unicyclic=predict_unicyclic(ring, profiles),
-    )
-
-
-def recognize_all(g: Graph) -> dict[str, bool]:
-    return {
-        "connected": is_connected(g),
-        "path_graph": is_path_graph(g),
-        "planar": recognizers.is_planar(g).value,
-        "outerplanar": recognizers.is_outerplanar(g).value,
-        "split": recognizers.is_split(g).value,
-        "threshold": recognizers.is_threshold(g).value,
-        "cograph": recognizers.is_cograph(g).value,
-        "cactus": recognizers.is_cactus(g).value,
-        "unicyclic": recognizers.is_unicyclic(g).value,
-    }
-
-
 def _tristate(v: bool | None) -> str:
     return "not-applicable" if v is None else ("true" if v else "false")
 
@@ -208,13 +180,12 @@ class ClassificationReport:
     component_count: int
     census: list[tuple[int, str]]
     recognized: dict[str, bool]
-    predicted: TheoremPrediction
+    predicted: dict[str, bool | None]
     degree_formula_ok: bool
     component_structure_ok: bool | None
     mismatches: list[dict]
 
     def to_dict(self) -> dict:
-        pred = self.predicted
         return {
             "spec": self.spec_text,
             "size": self.size,
@@ -237,17 +208,7 @@ class ClassificationReport:
                 "census": [{"size": s, "shape": sh} for s, sh in self.census],
             },
             "recognized": self.recognized,
-            "predicted": {
-                "connected": _tristate(pred.connected),
-                "path_graph": _tristate(pred.path_graph),
-                "planar": _tristate(pred.planar),
-                "outerplanar": _tristate(pred.outerplanar),
-                "split": _tristate(pred.split),
-                "threshold": _tristate(pred.threshold),
-                "cograph": _tristate(pred.cograph),
-                "cactus": _tristate(pred.cactus),
-                "unicyclic": _tristate(pred.unicyclic),
-            },
+            "predicted": {name: _tristate(v) for name, v in self.predicted.items()},
             "degree_formula_ok": self.degree_formula_ok,
             "component_structure_ok": self.component_structure_ok,
             "mismatches": self.mismatches,
@@ -257,27 +218,16 @@ class ClassificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def cross_validate(ring: FiniteRing, max_size: int = DEFAULT_MAX_RING_SIZE) -> ClassificationReport:
+def cross_validate(ring: FiniteRing) -> ClassificationReport:
     """Build the idempotent graph, run every recognizer and predicate, and
     record any disagreement between a prediction and the graph verdict."""
-    g = build_idempotent_graph(ring, max_size=max_size)
+    g = build_idempotent_graph(ring)
     recognized = recognize_all(g)
     profiles = primitive_idempotents(ring)
     predicted = predict_all(ring, profiles)
     census = component_census(g)
     mismatches: list[dict] = []
-    pairs = {
-        "connected": predicted.connected,
-        "path_graph": predicted.path_graph,
-        "planar": predicted.planar,
-        "outerplanar": predicted.outerplanar,
-        "split": predicted.split,
-        "threshold": predicted.threshold,
-        "cograph": predicted.cograph,
-        "cactus": predicted.cactus,
-        "unicyclic": predicted.unicyclic,
-    }
-    for prop, want in pairs.items():
+    for prop, want in predicted.items():
         if want is not None and recognized[prop] != want:
             mismatches.append(
                 {"property": prop, "predicted": _tristate(want), "recognized": recognized[prop]}

@@ -1,0 +1,53 @@
+"""Graph helpers that only the tests use."""
+
+import itertools
+
+from hypothesis import strategies as st
+
+from idemgraph.graphs import Graph, graph_from_edges
+from idemgraph.oracles import MAX_PATTERN_VERTICES, OracleSizeError
+
+
+@st.composite
+def graphs(draw, max_n=8):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return graph_from_edges(n, picks)
+
+
+def induced_subgraph(g: Graph, verts) -> Graph:
+    """Subgraph induced by the given vertices, relabeled 0..k-1 in sorted order."""
+    vs = sorted(verts)
+    pos = {v: i for i, v in enumerate(vs)}
+    edges = [
+        (pos[a], pos[b])
+        for a in vs
+        for b in vs
+        if a < b and g.has_edge(a, b)
+    ]
+    return graph_from_edges(len(vs), edges)
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """New graph with vertex v renamed perm[v]."""
+    edges = [(perm[i], perm[j]) for i, j in g.edges()]
+    return graph_from_edges(g.n, edges)
+
+
+def isomorphic_small(g: Graph, h: Graph) -> bool:
+    """Permutation-exhaustive isomorphism test for tiny graphs (n <= 6)."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return False
+    if g.n > MAX_PATTERN_VERTICES:
+        raise OracleSizeError("isomorphic_small is for pattern-sized graphs")
+    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
+        return False
+    for perm in itertools.permutations(range(g.n)):
+        if all(h.has_edge(perm[i], perm[j]) for i, j in g.edges()) and all(
+            g.has_edge(i, j) == h.has_edge(perm[i], perm[j])
+            for i in range(g.n)
+            for j in range(i + 1, g.n)
+        ):
+            return True
+    return False

@@ -6,6 +6,7 @@ import pytest
 
 from idemgraph import sweep
 from idemgraph.cli import main
+from idemgraph.theorems import PROPERTIES
 from idemgraph.sweep import (
     DEFAULT_CATALOG,
     SweepConfig,
@@ -162,6 +163,27 @@ class TestCli:
         with time_budget(1.0):
             assert main(["classify", spec]) == 1
         assert "more than 4096 elements" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "export"])
+    def test_max_size_above_the_sweep_ceiling_exit_1_fast(self, command, tmp_path, capsys):
+        dot = tmp_path / "g.dot"
+        with time_budget(1.0):
+            assert main([command, "Z5000", "--dot", str(dot), "--max-size", "5000"]) == 1
+        assert "must be in [1, 4096]" in capsys.readouterr().err
+        assert not dot.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "export"])
+    def test_max_size_at_the_ceiling_accepted(self, command, tmp_path, capsys):
+        dot = tmp_path / "g.dot"
+        assert main([command, "Z6", "--dot", str(dot), "--max-size", "4096"]) == 0
+        assert dot.read_text().count("--") == 10  # G_Id(Z6): degrees 3, 4, 3, 3, 4, 3
+
+    def test_classify_report_lines_follow_table_order(self, capsys):
+        assert main(["classify", "Z6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("property      predicted        recognized") + 1
+        rows = lines[start:start + len(PROPERTIES)]
+        assert [row.split()[0] for row in rows] == [p.name for p in PROPERTIES]
 
     def test_classify_writes_dot(self, tmp_path, capsys):
         dot = tmp_path / "g.dot"

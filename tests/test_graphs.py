@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemgraph.graphs import (
     Graph,
@@ -17,9 +19,12 @@ from idemgraph.graphs import (
     graph_from_json,
     is_bipartite,
     is_path_graph,
+    masked_components,
     path_graph,
 )
-from idemgraph.rings import RingSizeError, build_ring, idempotents
+from idemgraph.rings import build_ring, idempotents
+
+from helpers import graphs
 
 
 def census_set(g):
@@ -78,11 +83,6 @@ class TestBuildIdempotentGraph:
                 expected = i != j and r.add(x, y) in ids
                 assert g.has_edge(i, j) == expected
 
-    def test_size_bound(self):
-        r = build_ring("Z100", max_size=4096)
-        with pytest.raises(RingSizeError):
-            build_idempotent_graph(r, max_size=50)
-
 
 class TestDegrees:
     def test_z6_degrees_match_idempotent_count(self):
@@ -112,6 +112,22 @@ class TestComponents:
         g = graph_from_edges(7, [(0, 1), (2, 3), (3, 4)])
         comps = components(g)
         assert sorted(v for c in comps for v in c) == list(range(7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8), st.one_of(st.just(-1), st.integers(min_value=0, max_value=255)))
+def test_complement_walk_equals_components_of_the_complement(g, mask):
+    # the complement of the subgraph the mask induces, built edge by edge;
+    # vertices outside the mask stay isolated and their components are dropped
+    mask &= (1 << g.n) - 1
+    inside = [(mask >> v) & 1 for v in range(g.n)]
+    co = graph_from_edges(
+        g.n,
+        [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+         if inside[i] and inside[j] and not g.has_edge(i, j)],
+    )
+    explicit = [sum(1 << v for v in c) for c in components(co) if inside[c[0]]]
+    assert masked_components([r ^ -1 for r in g.rows], mask) == explicit
 
 
 class TestCensus:

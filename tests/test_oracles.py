@@ -8,7 +8,6 @@ from idemgraph.graphs import (
     complete_graph,
     cycle_graph,
     graph_from_edges,
-    induced_subgraph,
     path_graph,
     two_k2,
 )
@@ -17,13 +16,14 @@ from idemgraph.oracles import (
     cograph_oracle,
     find_induced,
     has_minor,
-    isomorphic_small,
     kuratowski_oracle,
     outerplanar_oracle,
     split_oracle,
     threshold_oracle,
 )
 from idemgraph.rings import build_ring
+
+from helpers import induced_subgraph, isomorphic_small
 
 
 class TestFindInduced:

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,6 @@ from idemgraph.graphs import (
     cycle_graph,
     graph_from_edges,
     path_graph,
-    relabel,
     two_k2,
 )
 from idemgraph.oracles import (
@@ -31,17 +31,11 @@ from idemgraph.recognizers import (
 from idemgraph.rings import build_ring
 from idemgraph.selftest import all_graphs
 
+from helpers import graphs, relabel
+
 
 def ring_graph(spec):
     return build_idempotent_graph(build_ring(spec))
-
-
-@st.composite
-def graphs(draw, max_n=8):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    picks = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return graph_from_edges(n, picks)
 
 
 class TestPlanar:
@@ -132,6 +126,27 @@ class TestCactusUnicyclic:
         assert is_cactus(g)
         assert not is_unicyclic(g)
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_windmill_sits_on_the_edge_bound(self, k):
+        # k triangles through vertex 0: n = 2k + 1 and m = 3k = 3(n - 1)/2,
+        # the most edges a cactus can have; one chord more and it is not one
+        blades = [(0, 2 * i + 1) for i in range(k)] + [(0, 2 * i + 2) for i in range(k)]
+        tips = [(2 * i + 1, 2 * i + 2) for i in range(k)]
+        windmill = graph_from_edges(2 * k + 1, blades + tips)
+        assert 2 * windmill.edge_count() == 3 * (windmill.n - 1)
+        assert is_cactus(windmill)
+        assert not is_cactus(graph_from_edges(2 * k + 1, blades + tips + [(1, 3)]))
+
+
+class TestOuterplanarEdgeBound:
+    def test_fan_sits_on_the_edge_bound(self):
+        # the fan is maximal outerplanar: m = 2n - 3; one chord more breaks it
+        fan_edges = [(i, i + 1) for i in range(5)] + [(0, i) for i in range(2, 6)]
+        fan = graph_from_edges(6, fan_edges)
+        assert fan.edge_count() == 2 * fan.n - 3
+        assert is_outerplanar(fan)
+        assert not is_outerplanar(graph_from_edges(6, fan_edges + [(1, 3)]))
+
 
 class TestAgainstOraclesExhaustive:
     # full n <= 6 exhaustive agreement is the acceptance suite's job;
@@ -154,6 +169,24 @@ def test_random_graphs_agree_with_oracles(g):
     assert is_split(g).value == (split_oracle(g) is None)
     assert is_threshold(g).value == (threshold_oracle(g) is None)
     assert is_cograph(g).value == (cograph_oracle(g) is None)
+
+
+def cactus_oracle(g):
+    """Connected, and no biconnected block has more edges than vertices."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return (
+        g.n > 0
+        and nx.is_connected(h)
+        and all(len(b) <= len({v for e in b for v in e}) for b in nx.biconnected_component_edges(h))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=8))
+def test_cactus_agrees_with_block_oracle(g):
+    assert is_cactus(g).value == cactus_oracle(g)
 
 
 @settings(max_examples=150, deadline=None)

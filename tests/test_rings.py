@@ -14,7 +14,7 @@ from idemgraph.rings import (
     primitive_idempotents,
 )
 from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
-from idemgraph.theorems import predict_connected
+from idemgraph.theorems import predict_all
 
 
 # Hand-picked rings, among them Z6[x]/(x^2), whose local factors are not
@@ -270,11 +270,11 @@ class TestPrimitiveIdempotents:
 
     @pytest.mark.parametrize("spec", CLOSURE_SPECS)
     def test_closure_iff_all_factors_generated(self, spec):
-        # additive_closure is the oracle for predict_connected's closed form
+        # additive_closure is the oracle for the closed form of connectivity
         r = build_ring(spec)
         closed = additive_closure(r, idempotents(r)) == set(r.elements)
         assert closed == all(p.generated_by_idempotents for p in primitive_idempotents(r))
-        assert predict_connected(r) is closed
+        assert predict_all(r)["connected"] is closed
 
 
 class TestIsLocal:

@@ -4,21 +4,18 @@ import pytest
 
 from idemgraph.graphs import build_idempotent_graph
 from idemgraph.rings import build_ring, primitive_idempotents
+from idemgraph.selftest import run_selftest
 from idemgraph.theorems import (
+    PROPERTIES,
     cross_validate,
     predict_all,
-    predict_cactus,
-    predict_cograph,
-    predict_connected,
-    predict_outerplanar,
-    predict_path,
-    predict_planar,
-    predict_split,
-    predict_threshold,
-    predict_unicyclic,
     verify_component_structure,
     verify_degree_formula,
 )
+
+
+def predict(name, ring):
+    return predict_all(ring)[name]
 
 
 class TestConnectivityAndPath:
@@ -27,60 +24,60 @@ class TestConnectivityAndPath:
         [("Z6", True), ("GF(4)", False), ("Z2 * Z2", True), ("Z9", True), ("Z3[x]/(x^2)", False)],
     )
     def test_predict_connected(self, spec, expected):
-        assert predict_connected(build_ring(spec)) is expected
+        assert predict("connected", build_ring(spec)) is expected
 
     @pytest.mark.parametrize(
         "spec,expected",
         [("Z9", True), ("Z6", False), ("Z2", True), ("GF(4)", False), ("Z4", True)],
     )
     def test_predict_path(self, spec, expected):
-        assert predict_path(build_ring(spec)) is expected
+        assert predict("path_graph", build_ring(spec)) is expected
 
 
 class TestPlanarityPrediction:
     def test_paper_examples_not_planar(self):
-        assert predict_planar(build_ring("Z3[x]/(x^2) * Z2")) is False
-        assert predict_planar(build_ring("Z3[x]/(x^2) * Z3")) is False
-        assert predict_planar(build_ring("Z3[x]/(x^2) * Z3[x]/(x^2)")) is False
+        assert predict("planar", build_ring("Z3[x]/(x^2) * Z2")) is False
+        assert predict("planar", build_ring("Z3[x]/(x^2) * Z3")) is False
+        assert predict("planar", build_ring("Z3[x]/(x^2) * Z3[x]/(x^2)")) is False
 
     def test_both_char_two(self):
-        assert predict_planar(build_ring("GF(4) * Z2")) is True
+        assert predict("planar", build_ring("GF(4) * Z2")) is True
 
     def test_three_factors_never_planar(self):
-        assert predict_planar(build_ring("Z2 * Z2 * Z2")) is False
+        assert predict("planar", build_ring("Z2 * Z2 * Z2")) is False
 
     def test_local_not_applicable(self):
-        assert predict_planar(build_ring("Z9")) is None
+        assert predict("planar", build_ring("Z9")) is None
 
     def test_both_generated(self):
-        assert predict_planar(build_ring("Z4 * Z9")) is True
+        assert predict("planar", build_ring("Z4 * Z9")) is True
 
     def test_one_generated_other_char_two(self):
-        assert predict_planar(build_ring("Z9 * GF(4)")) is True
+        assert predict("planar", build_ring("Z9 * GF(4)")) is True
 
     def test_factor_order_invariant(self):
         for a, b in [("Z2", "Z4"), ("Z9", "GF(4)"), ("Z3[x]/(x^2)", "Z3")]:
-            assert predict_planar(build_ring(f"{a} * {b}")) == predict_planar(
-                build_ring(f"{b} * {a}")
+            assert predict("planar", build_ring(f"{a} * {b}")) == predict(
+                "planar", build_ring(f"{b} * {a}")
             )
 
     def test_hidden_decomposition_used_not_spec_shape(self):
         # Z6 entered as a single factor still decomposes to Z2 x Z3
-        assert predict_planar(build_ring("Z6")) is True
-        assert predict_planar(build_ring("Z2 * Z3")) is True
+        assert predict("planar", build_ring("Z6")) is True
+        assert predict("planar", build_ring("Z2 * Z3")) is True
 
 
 class TestAlwaysFalsePredicates:
     @pytest.mark.parametrize("spec", ["Z6", "Z2 * Z4"])
     def test_nonlocal_rings(self, spec):
         ring = build_ring(spec)
-        assert predict_outerplanar(ring) is False
-        assert predict_cactus(ring) is False
-        assert predict_unicyclic(ring) is False
+        assert predict("outerplanar", ring) is False
+        assert predict("cactus", ring) is False
+        assert predict("unicyclic", ring) is False
 
     def test_local_not_applicable_and_guard_matters(self):
         ring = build_ring("Z9")
-        assert predict_outerplanar(ring) is None
+        assert predict("outerplanar", ring) is None
         # G_Id(Z9) = P9 really is outerplanar, so the guard is load-bearing
         from idemgraph.recognizers import is_outerplanar
 
@@ -94,33 +91,33 @@ class TestSplitThresholdPrediction:
     )
     def test_examples(self, spec, expected):
         ring = build_ring(spec)
-        assert predict_split(ring) is expected
-        assert predict_threshold(ring) is expected
+        assert predict("split", ring) is expected
+        assert predict("threshold", ring) is expected
 
     def test_split_equals_threshold_everywhere(self):
         for spec in ["Z6", "Z2 * Z2", "Z4 * Z2", "Z9", "GF(4) * GF(8)", "Z30"]:
             ring = build_ring(spec)
-            assert predict_split(ring) == predict_threshold(ring)
-            if predict_split(ring) is not None:
+            assert predict("split", ring) == predict("threshold", ring)
+            if predict("split", ring) is not None:
                 expected = all(p.factor_size == 2 for p in primitive_idempotents(ring))
-                assert predict_split(ring) == expected
+                assert predict("split", ring) == expected
 
 
 class TestCographPrediction:
     def test_all_char_two(self):
-        assert predict_cograph(build_ring("GF(4) * GF(8)")) is True
+        assert predict("cograph", build_ring("GF(4) * GF(8)")) is True
 
     def test_z3_with_char_two_rest(self):
-        assert predict_cograph(build_ring("Z3 * Z2")) is True
-        assert predict_cograph(build_ring("Z3 * Z2 * GF(4)")) is True
+        assert predict("cograph", build_ring("Z3 * Z2")) is True
+        assert predict("cograph", build_ring("Z3 * Z2 * GF(4)")) is True
 
     def test_negative_cases(self):
-        assert predict_cograph(build_ring("Z4 * Z2")) is False
-        assert predict_cograph(build_ring("Z3 * Z3")) is False
-        assert predict_cograph(build_ring("Z3[x]/(x^2) * Z2")) is False
+        assert predict("cograph", build_ring("Z4 * Z2")) is False
+        assert predict("cograph", build_ring("Z3 * Z3")) is False
+        assert predict("cograph", build_ring("Z3[x]/(x^2) * Z2")) is False
 
     def test_local_not_applicable(self):
-        assert predict_cograph(build_ring("Z8")) is None
+        assert predict("cograph", build_ring("Z8")) is None
 
 
 class TestDegreeFormula:
@@ -191,4 +188,24 @@ class TestCrossValidate:
     def test_predict_all_split_threshold_consistency(self):
         for spec in ("Z6", "Z2 * Z2", "Z9", "Z4 * GF(4)"):
             p = predict_all(build_ring(spec))
-            assert p.split == p.threshold
+            assert p["split"] == p["threshold"]
+
+
+class TestPropertyTable:
+    def test_reports_follow_table_order(self):
+        names = [p.name for p in PROPERTIES]
+        ring = build_ring("Z6")
+        d = cross_validate(ring).to_dict()
+        assert list(d["predicted"]) == names
+        assert list(d["recognized"]) == names
+        assert list(predict_all(ring)) == names
+
+    def test_selftest_checks_exactly_the_rows_with_an_oracle(self):
+        summary = run_selftest(exhaustive_n=0, random_count=0)
+        assert summary["properties"] == [p.name for p in PROPERTIES if p.oracle is not None]
+        assert summary["properties"] == ["planar", "outerplanar", "split", "threshold", "cograph"]
+
+    def test_local_ring_predicts_only_the_rows_that_apply(self):
+        predicted = predict_all(build_ring("Z9"))
+        for p in PROPERTIES:
+            assert (predicted[p.name] is None) == p.nonlocal_only, p.name

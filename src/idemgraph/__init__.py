@@ -11,10 +11,7 @@ from .graphs import (
     component_census,
     components,
     export_dot,
-    export_json,
     graph_from_edges,
-    graph_from_json,
-    is_bipartite,
     is_connected,
 )
 from .recognizers import (
@@ -65,11 +62,8 @@ __all__ = [
     "components",
     "component_census",
     "is_connected",
-    "is_bipartite",
     "graph_from_edges",
-    "graph_from_json",
     "export_dot",
-    "export_json",
     "is_planar",
     "is_outerplanar",
     "is_split",

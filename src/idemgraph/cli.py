@@ -64,9 +64,8 @@ def cmd_classify(args) -> int:
     ring = build_ring(args.spec, max_size=args.max_size)
     report = cross_validate(ring)
     if args.dot:
-        g = build_idempotent_graph(ring)
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(g, labels=args.labels))
+            fh.write(export_dot(report.graph, labels=args.labels))
     if args.json:
         print(report.to_json())
     else:

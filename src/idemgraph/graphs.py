@@ -2,13 +2,11 @@
 
 Includes the idempotent-graph construction (vertices = ring elements,
 x ~ y iff x + y is idempotent), structural queries, named pattern
-constructors used by the recognizer oracles, and DOT/JSON export.
+constructors used by the recognizer oracles, and DOT export.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass
 
 from .rings import FiniteRing, idempotents
@@ -68,18 +66,6 @@ def graph_from_edges(n: int, edges, labels: tuple[str, ...] | None = None) -> Gr
     return Graph(n, rows, labels)
 
 
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, [full & ~(1 << i) for i in range(n)])
-
-
-def complete_bipartite_graph(m: int, n: int) -> Graph:
-    left = (1 << m) - 1
-    right = ((1 << (m + n)) - 1) ^ left
-    rows = [right] * m + [left] * n
-    return Graph(m + n, rows)
-
-
 def path_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -92,10 +78,6 @@ def cycle_graph(n: int) -> Graph:
 
 def two_k2() -> Graph:
     return graph_from_edges(4, [(0, 1), (2, 3)])
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [0] * n)
 
 
 def build_idempotent_graph(ring: FiniteRing) -> Graph:
@@ -116,12 +98,11 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     ids = idempotents(ring)
     rows = [1]  # the product of no factors: one element, adjacent to itself
     for k in range(len(ring.spec.factors) - 1, -1, -1):
-        f = ring.spec.factors[k]
-        m = f.modulus
+        m = ring.spec.factors[k].modulus
         factor_ids = {e[k] for e in ids}
         width = len(rows)
         wider = []
-        for a in itertools.product(range(m), repeat=f.degree):
+        for a in ring.factor_elements[k]:
             shifts = []
             for e in factor_ids:
                 j = 0
@@ -203,27 +184,6 @@ def component_census(g: Graph) -> list[ComponentRecord]:
     return out
 
 
-def is_bipartite(g: Graph) -> bool:
-    color = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            ri = g.rows[u]
-            while ri:
-                v = (ri & -ri).bit_length() - 1
-                ri &= ri - 1
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
 def is_path_graph(g: Graph) -> bool:
     return (
         g.n >= 1
@@ -247,12 +207,3 @@ def export_dot(g: Graph, labels: bool = False) -> str:
         lines.append(f'  "{name(i)}" -- "{name(j)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_json(g: Graph) -> str:
-    return json.dumps({"n": g.n, "edges": [[i, j] for i, j in g.edges()]})
-
-
-def graph_from_json(text: str) -> Graph:
-    data = json.loads(text)
-    return graph_from_edges(data["n"], [tuple(e) for e in data["edges"]])

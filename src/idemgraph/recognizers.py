@@ -41,8 +41,11 @@ def is_planar(g: Graph) -> Verdict:
 
 
 def is_outerplanar(g: Graph) -> Verdict:
-    # An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges.
+    # An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges, and
+    # one on n >= 1 vertices has a vertex of degree at most 2.
     if g.n >= 2 and g.edge_count() > 2 * g.n - 3:
+        return Verdict(False)
+    if g.n and min(r.bit_count() for r in g.rows) >= 3:
         return Verdict(False)
     # Standard reduction: outerplanar iff the graph plus an apex vertex
     # adjacent to everything is planar.

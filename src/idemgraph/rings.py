@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 Coeffs = tuple[int, ...]
 Element = tuple[Coeffs, ...]
@@ -158,7 +158,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            self.error("number too long")
 
     def factor(self) -> FactorSpec:
         self.skip_ws()
@@ -288,6 +291,13 @@ def _poly_mul(a: Coeffs, b: Coeffs, f: Coeffs, n: int) -> Coeffs:
     return tuple(out)
 
 
+def _factor_mul(f: FactorSpec, a: Coeffs, b: Coeffs) -> Coeffs:
+    """Product of two coefficient vectors of the spec factor f."""
+    if f.poly:
+        return _poly_mul(a, b, f.poly, f.modulus)
+    return ((a[0] * b[0]) % f.modulus,)
+
+
 class FiniteRing:
     """Enumerable finite commutative ring with unity.
 
@@ -303,14 +313,14 @@ class FiniteRing:
         self.spec = spec
         self.size = spec.size
         self.characteristic = lcm(*(f.modulus for f in spec.factors))
-        factor_elements = [
-            [tuple(c) for c in itertools.product(range(f.modulus), repeat=f.degree)]
+        # each spec factor's coefficient vectors, in enumeration order
+        self.factor_elements: tuple[tuple[Coeffs, ...], ...] = tuple(
+            tuple(itertools.product(range(f.modulus), repeat=f.degree))
             for f in spec.factors
-        ]
-        self.elements: tuple[Element, ...] = tuple(
-            itertools.product(*factor_elements)
         )
-        self.index: dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
+        self.elements: tuple[Element, ...] = tuple(
+            itertools.product(*self.factor_elements)
+        )
         self.zero: Element = tuple((0,) * f.degree for f in spec.factors)
         self.one: Element = tuple((1,) + (0,) * (f.degree - 1) for f in spec.factors)
         self._idempotents: frozenset[Element] | None = None
@@ -334,13 +344,7 @@ class FiniteRing:
         return self.add(x, self.neg(y))
 
     def mul(self, x: Element, y: Element) -> Element:
-        out = []
-        for f, xc, yc in zip(self.spec.factors, x, y):
-            if f.poly:
-                out.append(_poly_mul(xc, yc, f.poly, f.modulus))
-            else:
-                out.append(((xc[0] * yc[0]) % f.modulus,))
-        return tuple(out)
+        return tuple(_factor_mul(f, a, b) for f, a, b in zip(self.spec.factors, x, y))
 
     def label(self, x: Element) -> str:
         parts = []
@@ -351,14 +355,6 @@ class FiniteRing:
                 parts.append(str(xc[0]))
         return parts[0] if len(parts) == 1 else "(" + ", ".join(parts) + ")"
 
-    def additive_order(self, x: Element) -> int:
-        k = 1
-        acc = x
-        while acc != self.zero:
-            acc = self.add(acc, x)
-            k += 1
-        return k
-
 
 def build_ring(spec: RingSpec | str, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteRing:
     if isinstance(spec, str):
@@ -367,11 +363,14 @@ def build_ring(spec: RingSpec | str, max_size: int = DEFAULT_MAX_RING_SIZE) -> F
 
 
 def idempotents(ring: FiniteRing) -> frozenset[Element]:
-    """All x with x*x == x, by exhaustive scan (cached on the ring)."""
+    """All x with x*x == x (cached on the ring).  Multiplication acts on each
+    spec factor separately, so these are the tuples of the factors'
+    idempotents, and each factor is scanned on its own."""
     if ring._idempotents is None:
-        ring._idempotents = frozenset(
-            x for x in ring.elements if ring.mul(x, x) == x
-        )
+        ring._idempotents = frozenset(itertools.product(*(
+            [a for a in elems if _factor_mul(f, a, a) == a]
+            for f, elems in zip(ring.spec.factors, ring.factor_elements)
+        )))
     return ring._idempotents
 
 
@@ -411,47 +410,35 @@ class LocalFactorProfile:
 
 
 def primitive_idempotents(ring: FiniteRing) -> list[LocalFactorProfile]:
-    """Atoms of the Boolean algebra of idempotents, with factor invariants.
+    """Atoms of the Boolean algebra of idempotents, with factor invariants,
+    in enumeration order.
 
     e <= f iff e*f == e; the atoms are the minimal nonzero idempotents and
-    realize the local direct-product decomposition of the ring.
+    realize the local direct-product decomposition of the ring.  An
+    idempotent is a tuple of the spec factors' idempotents, so an atom is
+    one atom a of one spec factor R_k, zero in every other factor: then
+    R e is R_k a, and the characteristic of R e is the additive order of a,
+    n_k / gcd(n_k, a) for the factor's modulus n_k.  An atom of a later
+    factor comes first in enumeration order.
     """
     ids = idempotents(ring)
-    atoms = []
-    for e in ids:
-        if e == ring.zero:
-            continue
-        minimal = True
-        for f in ids:
-            if f not in (ring.zero, e) and ring.mul(e, f) == f:
-                minimal = False
-                break
-        if minimal:
-            atoms.append(e)
-    atoms.sort(key=ring.index.__getitem__)
-    # x -> x*e acts on each spec factor separately, so |R e| is the product
-    # over spec factors k of |R_k e_k|, read off the elements that are zero
-    # outside factor k: in enumeration order, the multiples of the number
-    # of elements of the later factors.
-    strides = []
-    stride = ring.size
-    for f in ring.spec.factors:
-        stride //= f.size
-        strides.append((f.size, stride))
     profiles = []
-    for e in atoms:
-        factor_size = 1
-        for k, (size, stride) in enumerate(strides):
-            factor_size *= len({ring.mul(ring.elements[i * stride], e)[k] for i in range(size)})
-        factor_char = ring.additive_order(e)
-        profiles.append(
-            LocalFactorProfile(
-                idempotent=e,
-                factor_size=factor_size,
-                factor_char=factor_char,
-                generated_by_idempotents=(factor_char == factor_size),
-                is_z2=(factor_size == 2),
-                is_z3=(factor_size == 3 and factor_char == 3),
+    for k in range(len(ring.spec.factors) - 1, -1, -1):
+        f = ring.spec.factors[k]
+        factor_ids = {e[k] for e in ids} - {ring.zero[k]}
+        for a in sorted(factor_ids):  # the factor's enumeration order
+            if any(b != a and _factor_mul(f, a, b) == b for b in factor_ids):
+                continue
+            factor_size = len({_factor_mul(f, x, a) for x in ring.factor_elements[k]})
+            factor_char = f.modulus // gcd(f.modulus, *a)
+            profiles.append(
+                LocalFactorProfile(
+                    idempotent=ring.zero[:k] + (a,) + ring.zero[k + 1:],
+                    factor_size=factor_size,
+                    factor_char=factor_char,
+                    generated_by_idempotents=(factor_char == factor_size),
+                    is_z2=(factor_size == 2),
+                    is_z3=(factor_size == 3 and factor_char == 3),
+                )
             )
-        )
     return profiles

@@ -175,8 +175,7 @@ class ClassificationReport:
     characteristic: int
     num_idempotents: int
     factors: list[LocalFactorProfile]
-    graph_n: int
-    graph_edges: int
+    graph: Graph
     component_count: int
     census: list[tuple[int, str]]
     recognized: dict[str, bool]
@@ -202,8 +201,8 @@ class ClassificationReport:
                 for p in self.factors
             ],
             "graph": {
-                "n": self.graph_n,
-                "edges": self.graph_edges,
+                "n": self.graph.n,
+                "edges": self.graph.edge_count(),
                 "components": self.component_count,
                 "census": [{"size": s, "shape": sh} for s, sh in self.census],
             },
@@ -250,8 +249,7 @@ def cross_validate(ring: FiniteRing) -> ClassificationReport:
         characteristic=ring.characteristic,
         num_idempotents=len(idempotents(ring)),
         factors=profiles,
-        graph_n=g.n,
-        graph_edges=g.edge_count(),
+        graph=g,
         component_count=len(census),
         census=[(rec.size, rec.shape) for rec in census],
         recognized=recognized,

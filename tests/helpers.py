@@ -1,11 +1,48 @@
-"""Graph helpers that only the tests use."""
+"""Graph constructors, oracles and tools that only the tests use."""
 
 import itertools
+import signal
+from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
 from idemgraph.graphs import Graph, graph_from_edges
 from idemgraph.oracles import MAX_PATTERN_VERTICES, OracleSizeError
+
+
+class Overtime(Exception):
+    """Raised by time_budget; not an error type the CLI turns into exit 1."""
+
+
+@contextmanager
+def time_budget(seconds):
+    """Interrupt the block with Overtime if it runs longer than seconds."""
+    def expire(signum, frame):
+        raise Overtime(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def complete_graph(n: int) -> Graph:
+    full = (1 << n) - 1
+    return Graph(n, [full & ~(1 << i) for i in range(n)])
+
+
+def complete_bipartite_graph(m: int, n: int) -> Graph:
+    left = (1 << m) - 1
+    right = ((1 << (m + n)) - 1) ^ left
+    rows = [right] * m + [left] * n
+    return Graph(m + n, rows)
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph(n, [0] * n)
 
 
 @st.composite

@@ -1,10 +1,8 @@
 import json
-import signal
-from contextlib import contextmanager
 
 import pytest
 
-from idemgraph import sweep
+from idemgraph import cli, sweep, theorems
 from idemgraph.cli import main
 from idemgraph.theorems import PROPERTIES
 from idemgraph.sweep import (
@@ -16,24 +14,7 @@ from idemgraph.sweep import (
     summary_json,
 )
 
-
-class Overtime(Exception):
-    """Raised by time_budget; not an error type the CLI turns into exit 1."""
-
-
-@contextmanager
-def time_budget(seconds):
-    """Interrupt the block with Overtime if it runs longer than seconds."""
-    def expire(signum, frame):
-        raise Overtime(f"took longer than {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+from helpers import time_budget
 
 
 class TestSweepEnumeration:
@@ -189,6 +170,22 @@ class TestCli:
         dot = tmp_path / "g.dot"
         assert main(["classify", "Z2", "--dot", str(dot), "--labels"]) == 0
         assert '"0" -- "1";' in dot.read_text()
+
+    def test_classify_dot_builds_the_graph_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting(ring):
+            built.append(ring)
+            return real(ring)
+
+        real = theorems.build_idempotent_graph
+        monkeypatch.setattr(theorems, "build_idempotent_graph", counting)
+        monkeypatch.setattr(cli, "build_idempotent_graph", counting)
+        classified, exported = tmp_path / "classify.dot", tmp_path / "export.dot"
+        assert main(["classify", "Z4*Z2", "--dot", str(classified)]) == 0
+        assert len(built) == 1
+        assert main(["export", "Z4*Z2", "--dot", str(exported)]) == 0
+        assert classified.read_bytes() == exported.read_bytes()
 
     def test_export(self, tmp_path):
         dot = tmp_path / "z4.dot"

@@ -4,8 +4,6 @@ import pytest
 
 from idemgraph.graphs import (
     build_idempotent_graph,
-    complete_bipartite_graph,
-    complete_graph,
     cycle_graph,
     graph_from_edges,
     path_graph,
@@ -23,7 +21,7 @@ from idemgraph.oracles import (
 )
 from idemgraph.rings import build_ring
 
-from helpers import induced_subgraph, isomorphic_small
+from helpers import complete_bipartite_graph, complete_graph, induced_subgraph, isomorphic_small
 
 
 class TestFindInduced:

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from idemgraph.graphs import (
     build_idempotent_graph,
-    complete_bipartite_graph,
-    complete_graph,
     cycle_graph,
     graph_from_edges,
     path_graph,
@@ -31,7 +29,7 @@ from idemgraph.recognizers import (
 from idemgraph.rings import build_ring
 from idemgraph.selftest import all_graphs
 
-from helpers import graphs, relabel
+from helpers import complete_bipartite_graph, complete_graph, graphs, relabel
 
 
 def ring_graph(spec):
@@ -51,7 +49,18 @@ class TestPlanar:
 
 class TestOuterplanar:
     def test_cycle_outerplanar(self):
+        # every vertex of a cycle has degree 2, so the degree bound passes it
         assert is_outerplanar(cycle_graph(6))
+
+    def test_cube_has_no_vertex_of_degree_two(self):
+        # Q3 is planar and within the 2n - 3 edge bound, but 3-regular, and
+        # an outerplanar graph always has a vertex of degree at most 2
+        cube = graph_from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+        assert cube.edge_count() == 12 <= 2 * cube.n - 3
+        assert all(cube.degree(v) == 3 for v in range(8))
+        assert is_planar(cube)
+        assert not is_outerplanar(cube)
+        assert not outerplanar_oracle(cube)
 
     def test_k4_not_outerplanar(self):
         assert not is_outerplanar(complete_graph(4))

@@ -1,8 +1,11 @@
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idemgraph.rings import (
     FactorSpec,
+    LocalFactorProfile,
     RingSizeError,
     RingSpecError,
     additive_closure,
@@ -15,6 +18,8 @@ from idemgraph.rings import (
 )
 from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
 from idemgraph.theorems import predict_all
+
+from helpers import time_budget
 
 
 # Hand-picked rings, among them Z6[x]/(x^2), whose local factors are not
@@ -29,6 +34,58 @@ CLOSURE_SPECS = list(
 
 def labels(ring, elems):
     return sorted(ring.label(x) for x in elems)
+
+
+# Whole-ring definitions, independent of the factor-by-factor analysis.
+
+def scan_idempotents(r):
+    return frozenset(x for x in r.elements if r.mul(x, x) == x)
+
+
+def additive_order(r, x):
+    k, acc = 1, x
+    while acc != r.zero:
+        acc = r.add(acc, x)
+        k += 1
+    return k
+
+
+def scan_atoms(r):
+    """Minimal nonzero idempotents under e*f == f, by element index, with
+    |R e| from a full scan and the characteristic from repeated addition."""
+    ids = scan_idempotents(r)
+    index = {x: i for i, x in enumerate(r.elements)}
+    atoms = sorted(
+        (e for e in ids if e != r.zero and not any(
+            f not in (r.zero, e) and r.mul(e, f) == f for f in ids)),
+        key=index.__getitem__,
+    )
+    out = []
+    for e in atoms:
+        size = len({r.mul(x, e) for x in r.elements})
+        char = additive_order(r, e)
+        out.append(LocalFactorProfile(e, size, char, char == size, size == 2, size == 3 and char == 3))
+    return out
+
+
+# Spec texts as a user might type them, with numbers far beyond any bound.
+_big = st.integers(min_value=0, max_value=10**30)
+_exponent = st.integers(min_value=0, max_value=10**12)
+_term = st.one_of(
+    _big.map(str),
+    _exponent.map(lambda e: f"x^{e}"),
+    st.builds(lambda c, e: f"{c}x^{e}", _big, _exponent),
+)
+_factor = st.one_of(
+    _big.map(lambda n: f"Z{n}"),
+    _big.map(lambda q: f"GF({q})"),
+    st.builds(lambda n, terms: f"Z{n}[x]/({' + '.join(terms)})", _big, st.lists(_term, min_size=1, max_size=4)),
+)
+_spec_text = st.builds(
+    lambda first, rest: first + "".join(sep + f for sep, f in rest),
+    _factor,
+    st.lists(st.tuples(st.sampled_from([" * ", "*", " × "]), _factor), max_size=3),
+)
 
 
 class TestParsing:
@@ -78,6 +135,18 @@ class TestParsing:
         for bad in ("GF(6)", "GF(12)", "GF(1)"):
             with pytest.raises(RingSpecError):
                 parse_ring_spec(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_spec_text, st.text()))
+    @example("Z" + "9" * 5000)
+    @example("Z2[x]/(x^1000000000000 + 1) * GF(1000000000000000000000000000000)")
+    def test_any_text_returns_or_is_rejected_fast(self, text):
+        for call in (parse_ring_spec, build_ring):
+            with time_budget(1.0):
+                try:
+                    call(text)
+                except (RingSpecError, RingSizeError):
+                    pass
 
     def test_whitespace_insensitive(self):
         assert parse_ring_spec(" Z3[x] / ( x^2 ) *Z2 ") == parse_ring_spec("Z3[x]/(x^2) * Z2")
@@ -201,6 +270,11 @@ class TestIdempotents:
             nb = len(idempotents(build_ring(b)))
             assert len(idempotents(build_ring(f"{a} * {b}"))) == na * nb
 
+    @pytest.mark.parametrize("spec", CLOSURE_SPECS)
+    def test_matches_whole_ring_scan(self, spec):
+        r = build_ring(spec)
+        assert idempotents(r) == scan_idempotents(r)
+
     @pytest.mark.parametrize("spec", ["Z6", "Z12", "GF(4) * Z3", "Z2 * Z2 * Z2"])
     def test_complement_and_square(self, spec):
         r = build_ring(spec)
@@ -268,6 +342,11 @@ class TestPrimitiveIdempotents:
         assert total == r.one
         assert size_product == r.size
 
+    @pytest.mark.parametrize("spec", CLOSURE_SPECS + ["Z30", "Z2[x]/(x^2 + x) * Z3"])
+    def test_matches_whole_ring_definition_in_order(self, spec):
+        r = build_ring(spec)
+        assert primitive_idempotents(r) == scan_atoms(r)
+
     @pytest.mark.parametrize("spec", CLOSURE_SPECS)
     def test_closure_iff_all_factors_generated(self, spec):
         # additive_closure is the oracle for the closed form of connectivity
@@ -288,4 +367,4 @@ class TestIsLocal:
     def test_characteristic_is_additive_order_of_one(self):
         for spec in ("Z6", "Z9", "GF(4)", "Z4 * Z6", "Z3[x]/(x^2) * Z2"):
             r = build_ring(spec)
-            assert r.characteristic == r.additive_order(r.one)
+            assert r.characteristic == additive_order(r, r.one)

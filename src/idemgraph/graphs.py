@@ -26,14 +26,20 @@ class Graph:
                 raise ValueError(f"row {i} has bits beyond vertex count")
             if r & (1 << i):
                 raise ValueError(f"loop at vertex {i}")
-        # symmetry check is O(n + m) bit tests; cheap at desk scale
-        for i in range(n):
-            ri = self.rows[i]
-            while ri:
-                j = (ri & -ri).bit_length() - 1
+        # Symmetry: every bit above the diagonal is mirrored below it, and
+        # there are as many bits below as above, so nothing else is below.
+        above = 0
+        for i, r in enumerate(self.rows):
+            r >>= i + 1
+            above += r.bit_count()
+            while r:
+                low = r & -r
+                j = i + low.bit_length()
                 if not (self.rows[j] >> i) & 1:
                     raise ValueError(f"asymmetric adjacency at ({i}, {j})")
-                ri &= ri - 1
+                r ^= low
+        if 2 * above != sum(r.bit_count() for r in self.rows):
+            raise ValueError("asymmetric adjacency below the diagonal")
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()

@@ -2,14 +2,16 @@
 
 Two engines: an induced-subgraph search (backtracking over bitset
 candidate masks) for the forbidden-pattern classes, and an exhaustive
-minor search (contraction recursion with memoization) for planarity and
-outerplanarity.  Both are deliberately independent of the decision
-procedures in `recognizers`.
+minor search (contraction recursion over bitset rows, with memoization)
+for planarity and outerplanarity.  Both are deliberately independent of
+the decision procedures in `recognizers`.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import and_
 
 from .graphs import Graph, cycle_graph, path_graph, two_k2
 
@@ -71,90 +73,94 @@ def find_induced(g: Graph, pattern: Graph) -> frozenset[int] | None:
     return rec(0, 0)
 
 
+# The forbidden induced subgraphs, built once.
+_P4, _C4, _2K2 = path_graph(4), cycle_graph(4), two_k2()
+_SPLIT_PATTERNS = (_2K2, _C4, cycle_graph(5))
+_THRESHOLD_PATTERNS = (_P4, _C4, _2K2)
+
+
+def _first_induced(g: Graph, patterns: tuple[Graph, ...]) -> frozenset[int] | None:
+    return next((hit for p in patterns if (hit := find_induced(g, p)) is not None), None)
+
+
 def split_oracle(g: Graph) -> frozenset[int] | None:
     """A forbidden induced 2K_2, C_4 or C_5 if one exists (Foldes-Hammer)."""
-    for pattern in (two_k2(), cycle_graph(4), cycle_graph(5)):
-        hit = find_induced(g, pattern)
-        if hit is not None:
-            return hit
-    return None
+    return _first_induced(g, _SPLIT_PATTERNS)
 
 
 def threshold_oracle(g: Graph) -> frozenset[int] | None:
     """A forbidden induced P_4, C_4 or 2K_2 if one exists."""
-    for pattern in (path_graph(4), cycle_graph(4), two_k2()):
-        hit = find_induced(g, pattern)
-        if hit is not None:
-            return hit
-    return None
+    return _first_induced(g, _THRESHOLD_PATTERNS)
 
 
 def cograph_oracle(g: Graph) -> frozenset[int] | None:
     """An induced P_4 if one exists."""
-    return find_induced(g, path_graph(4))
+    return find_induced(g, _P4)
 
 
 # --- minor search ---------------------------------------------------------
 
-def _blocks_and_adj(g: Graph):
-    # Blocks are bitmasks of original vertices; adjacency maps block -> set.
-    adj: dict[int, set[int]] = {1 << v: set() for v in range(g.n)}
-    for i, j in g.edges():
-        adj[1 << i].add(1 << j)
-        adj[1 << j].add(1 << i)
-    return adj
+def _contract(rows: dict[int, int], u: int, v: int) -> None:
+    # Merge block v into block u (u < v, so u stays the representative).
+    bu, bv = 1 << u, 1 << v
+    rv = rows.pop(v)
+    rows[u] = (rows[u] | rv) & ~(bu | bv)
+    rest = rv & ~bu
+    while rest:
+        low = rest & -rest
+        w = low.bit_length() - 1
+        rows[w] = rows[w] & ~bv | bu
+        rest ^= low
 
 
-def _simplify(adj: dict[int, set[int]], suppress_deg2: bool):
+def _simplify(rows: dict[int, int], suppress_deg2: bool):
     changed = True
     while changed:
         changed = False
-        for v in list(adj):
-            if v not in adj:
+        for v in list(rows):
+            r = rows.get(v)
+            if r is None or r.bit_count() > 1 + suppress_deg2:
                 continue
-            deg = len(adj[v])
-            if deg <= 1:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                del adj[v]
-                changed = True
-            elif deg == 2 and suppress_deg2:
-                a, b = adj[v]
-                adj[a].discard(v)
-                adj[b].discard(v)
-                del adj[v]
-                if a != b:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                changed = True
+            changed = True
+            if r.bit_count() == 2:  # contract v into its lower neighbour
+                a = (r & -r).bit_length() - 1
+                _contract(rows, min(a, v), max(a, v))
+            else:
+                del rows[v]
+                if r:
+                    rows[r.bit_length() - 1] &= ~(1 << v)
 
 
-def _has_clique(adj: dict[int, set[int]], k: int) -> bool:
-    verts = [v for v in adj if len(adj[v]) >= k - 1]
-    for combo in itertools.combinations(verts, k):
-        if all(b in adj[a] for a, b in itertools.combinations(combo, 2)):
+def _has_clique(rows: dict[int, int], k: int) -> bool:
+    # Extend a clique by `need` more vertices from cand, lowest first.
+    def grow(cand: int, need: int) -> bool:
+        if need == 0:
             return True
-    return False
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            if grow(cand & rows[low.bit_length() - 1], need - 1):
+                return True
+        return False
+
+    return grow(sum(1 << v for v, r in rows.items() if r.bit_count() >= k - 1), k)
 
 
-def _has_complete_bipartite(adj: dict[int, set[int]], a: int, b: int) -> bool:
-    # Subgraph (not induced): a vertices with >= b common neighbors elsewhere.
-    verts = [v for v in adj if len(adj[v]) >= b]
-    for combo in itertools.combinations(verts, a):
-        common = set.intersection(*(adj[v] for v in combo)) - set(combo)
-        if len(common) >= b:
-            return True
-    return False
+def _has_complete_bipartite(rows: dict[int, int], a: int, b: int) -> bool:
+    # Subgraph (not induced): a vertices with >= b common neighbors.  With
+    # no loops, the common neighbors of a set never include the set itself.
+    wide = [r for r in rows.values() if r.bit_count() >= b]
+    return any(reduce(and_, combo).bit_count() >= b for combo in itertools.combinations(wide, a))
 
 
 _TARGETS = {
     # name: (vertices, edges, subgraph check, degree-2 suppression safe)
-    "K5": (5, 10, lambda adj: _has_clique(adj, 5), True),
-    "K33": (6, 9, lambda adj: _has_complete_bipartite(adj, 3, 3), True),
-    "K4": (4, 6, lambda adj: _has_clique(adj, 4), True),
+    "K5": (5, 10, lambda rows: _has_clique(rows, 5), True),
+    "K33": (6, 9, lambda rows: _has_complete_bipartite(rows, 3, 3), True),
+    "K4": (4, 6, lambda rows: _has_clique(rows, 4), True),
     # K_{2,3} has degree-2 branch vertices, so suppressing degree-2
     # vertices is not minor-safe for it; only degree <= 1 deletion is.
-    "K23": (5, 6, lambda adj: _has_complete_bipartite(adj, 2, 3), False),
+    "K23": (5, 6, lambda rows: _has_complete_bipartite(rows, 2, 3), False),
 }
 
 
@@ -162,43 +168,36 @@ def has_minor(g: Graph, target: str) -> bool:
     """Exhaustive search for a named minor (K5, K33, K4 or K23).
 
     Contraction recursion: a graph has H as a minor iff H is a subgraph of
-    some graph reachable by edge contractions.  Failed states are memoized
-    on their block partition, so each reachable contracted graph is
-    explored once.
+    some graph reachable by edge contractions.  A state maps each block of
+    contracted vertices, named by its least original vertex, to its bitset
+    row over those names.  A state seen before was checked and failed, so
+    each reachable contracted graph is checked and expanded once.
     """
     need_v, need_e, check, deg2_ok = _TARGETS[target]
-    memo: set[frozenset[frozenset[int]]] = set()
+    memo: set[frozenset[tuple[int, int]]] = set()
 
-    def rec(adj: dict[int, set[int]]) -> bool:
-        _simplify(adj, deg2_ok)
-        if len(adj) < need_v:
+    def rec(rows: dict[int, int]) -> bool:
+        _simplify(rows, deg2_ok)
+        if len(rows) < need_v or sum(r.bit_count() for r in rows.values()) < 2 * need_e:
             return False
-        if sum(len(s) for s in adj.values()) // 2 < need_e:
-            return False
-        if check(adj):
-            return True
-        key = frozenset(
-            frozenset((u, v)) for u in adj for v in adj[u] if u < v
-        )
+        key = frozenset(rows.items())
         if key in memo:
             return False
+        if check(rows):
+            return True
         memo.add(key)
-        edges = sorted((u, v) for u in adj for v in adj[u] if u < v)
-        for u, v in edges:
-            nadj = {w: set(s) for w, s in adj.items()}
-            merged = u | v
-            nbrs = (nadj[u] | nadj[v]) - {u, v}
-            del nadj[u], nadj[v]
-            nadj[merged] = nbrs
-            for w in nbrs:
-                nadj[w].discard(u)
-                nadj[w].discard(v)
-                nadj[w].add(merged)
-            if rec(nadj):
-                return True
+        for u, r in rows.items():
+            higher = r >> u + 1
+            while higher:
+                low = higher & -higher
+                higher ^= low
+                nrows = dict(rows)
+                _contract(nrows, u, u + low.bit_length())
+                if rec(nrows):
+                    return True
         return False
 
-    return rec(_blocks_and_adj(g))
+    return rec(dict(enumerate(g.rows)))
 
 
 def kuratowski_oracle(g: Graph) -> bool:

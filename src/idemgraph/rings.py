@@ -340,9 +340,6 @@ class FiniteRing:
             for f, xc in zip(self.spec.factors, x)
         )
 
-    def sub(self, x: Element, y: Element) -> Element:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: Element, y: Element) -> Element:
         return tuple(_factor_mul(f, a, b) for f, a, b in zip(self.spec.factors, x, y))
 

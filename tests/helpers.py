@@ -29,6 +29,11 @@ def time_budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def sub(ring, x, y):
+    """x - y in the ring, as x + (-y)."""
+    return ring.add(x, ring.neg(y))
+
+
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, [full & ~(1 << i) for i in range(n)])

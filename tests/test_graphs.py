@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idemgraph.graphs import (
@@ -30,6 +30,22 @@ class TestGraphType:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             Graph(2, [0b10, 0b00])
+
+    def test_rejects_a_bit_only_below_the_diagonal(self):
+        with pytest.raises(ValueError):
+            Graph(2, [0b00, 0b01])
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=8), st.data())
+    def test_rejects_any_one_directed_bit_cleared(self, g, data):
+        assume(g.edge_count())
+        i, j = data.draw(st.sampled_from(sorted(g.edges())))
+        if data.draw(st.booleans()):
+            i, j = j, i
+        rows = list(g.rows)
+        rows[i] &= ~(1 << j)
+        with pytest.raises(ValueError):
+            Graph(g.n, rows)
 
     def test_degree_sum_is_twice_edges(self):
         g = complete_bipartite_graph(2, 3)

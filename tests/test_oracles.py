@@ -1,6 +1,9 @@
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idemgraph.graphs import (
     build_idempotent_graph,
@@ -20,8 +23,15 @@ from idemgraph.oracles import (
     threshold_oracle,
 )
 from idemgraph.rings import build_ring
+from idemgraph.selftest import random_graph
 
-from helpers import complete_bipartite_graph, complete_graph, induced_subgraph, isomorphic_small
+from helpers import (
+    complete_bipartite_graph,
+    complete_graph,
+    induced_subgraph,
+    isomorphic_small,
+    relabel,
+)
 
 
 class TestFindInduced:
@@ -119,6 +129,54 @@ class TestMinorSearch:
             kuratowski_oracle(complete_graph(13))
         with pytest.raises(OracleSizeError):
             outerplanar_oracle(complete_graph(13))
+
+
+class TestMinorSearchAgainstNetworkx:
+    def test_every_seven_vertex_atlas_graph(self):
+        # The atlas (Read and Wilson) lists each of the 1,044 graphs on 7
+        # vertices once up to isomorphism.  A graph is outerplanar iff it
+        # stays planar with one more vertex joined to every vertex.
+        seven = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+        assert len(seven) == 1044
+        planar = outerplanar = 0
+        for h in seven:
+            g = graph_from_edges(7, h.edges())
+            is_planar = kuratowski_oracle(g)
+            assert is_planar == nx.check_planarity(h)[0], sorted(g.edges())
+            apex = h.copy()
+            apex.add_edges_from((7, v) for v in range(7))
+            is_outerplanar = outerplanar_oracle(g)
+            assert is_outerplanar == nx.check_planarity(apex)[0], sorted(g.edges())
+            planar += is_planar
+            outerplanar += is_outerplanar
+        assert (planar, outerplanar) == (822, 277)
+
+
+class TestMinorSearchInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=5, max_value=9), st.randoms(use_true_random=False))
+    def test_every_target_ignores_labels(self, n, rnd):
+        # random_graph draws an edge density per graph, so dense graphs with
+        # every minor come up as well as sparse ones with none.
+        g = random_graph(n, rnd)
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        h = relabel(g, perm)
+        for target in ("K5", "K33", "K4", "K23"):
+            assert has_minor(h, target) == has_minor(g, target), target
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=9), st.randoms(use_true_random=False))
+    def test_subdividing_an_edge(self, n, rnd):
+        # Planarity is kept.  Outerplanarity can be lost (subdividing the
+        # chord of K4 minus an edge gives K_{2,3}) but never gained, since g
+        # is a minor of its subdivision.
+        g = random_graph(n, rnd)
+        assume(g.edge_count())
+        i, j = rnd.choice(sorted(g.edges()))
+        h = graph_from_edges(g.n + 1, [e for e in g.edges() if e != (i, j)] + [(i, g.n), (g.n, j)])
+        assert kuratowski_oracle(h) == kuratowski_oracle(g)
+        assert outerplanar_oracle(h) <= outerplanar_oracle(g)
 
 
 class TestIsomorphicSmall:

@@ -60,12 +60,17 @@ def _print_report(report) -> None:
         print("no mismatches")
 
 
+def _write_dot(path: str, ring, g, labels: bool) -> None:
+    names = [ring.label(x) for x in ring.elements] if labels else None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(export_dot(g, names))
+
+
 def cmd_classify(args) -> int:
     ring = build_ring(args.spec, max_size=args.max_size)
     report = cross_validate(ring)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(report.graph, labels=args.labels))
+        _write_dot(args.dot, ring, report.graph, args.labels)
     if args.json:
         print(report.to_json())
     else:
@@ -127,9 +132,7 @@ def cmd_selftest(args) -> int:
 
 def cmd_export(args) -> int:
     ring = build_ring(args.spec, max_size=args.max_size)
-    g = build_idempotent_graph(ring)
-    with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(export_dot(g, labels=args.labels))
+    _write_dot(args.dot, ring, build_idempotent_graph(ring), args.labels)
     return EXIT_OK
 
 

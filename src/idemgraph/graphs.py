@@ -15,21 +15,19 @@ from .rings import FiniteRing, idempotents
 class Graph:
     """Simple undirected graph; adjacency row i is a Python-int bitset."""
 
-    __slots__ = ("n", "rows", "labels")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: list[int], labels: tuple[str, ...] | None = None):
+    def __init__(self, n: int, rows: list[int]):
         self.n = n
         self.rows = tuple(rows)
-        self.labels = labels
+        # Symmetry: every bit above the diagonal is mirrored below it, and
+        # there are as many bits below as above, so nothing else is below.
+        above = 0
         for i, r in enumerate(self.rows):
             if r >> n:
                 raise ValueError(f"row {i} has bits beyond vertex count")
             if r & (1 << i):
                 raise ValueError(f"loop at vertex {i}")
-        # Symmetry: every bit above the diagonal is mirrored below it, and
-        # there are as many bits below as above, so nothing else is below.
-        above = 0
-        for i, r in enumerate(self.rows):
             r >>= i + 1
             above += r.bit_count()
             while r:
@@ -62,14 +60,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def graph_from_edges(n: int, edges, labels: tuple[str, ...] | None = None) -> Graph:
+def graph_from_edges(n: int, edges) -> Graph:
     rows = [0] * n
     for i, j in edges:
         if i == j:
             raise ValueError(f"loop at vertex {i}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, rows, labels)
+    return Graph(n, rows)
 
 
 def path_graph(n: int) -> Graph:
@@ -93,7 +91,7 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     Works on element indices, never on tuples.  The index of an element is
     a mixed-radix number whose digits are its coefficients, factor by
     factor, each in base its factor's modulus, most significant first: the
-    order of ``ring.elements``.  The idempotents of a product are the tuples
+    ring's enumeration order.  The idempotents of a product are the tuples
     of the factors' idempotents, so the neighbours e - x of x = (a, rest)
     are the first factor's e_1 - a, each combined with a neighbour of rest
     in the product of the remaining factors.  Rows are therefore built from
@@ -121,9 +119,7 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
                     row |= r << s
                 wider.append(row)
         rows = wider
-    rows = [r & ~(1 << i) for i, r in enumerate(rows)]
-    labels = tuple(ring.label(x) for x in ring.elements)
-    return Graph(ring.size, rows, labels)
+    return Graph(ring.size, [r & ~(1 << i) for i, r in enumerate(rows)])
 
 
 def masked_components(rows, mask: int) -> list[int]:
@@ -199,17 +195,11 @@ def is_path_graph(g: Graph) -> bool:
     )
 
 
-def export_dot(g: Graph, labels: bool = False) -> str:
-    """Deterministic DOT text: vertices in index order, each edge once."""
-    def name(v: int) -> str:
-        if labels and g.labels is not None:
-            return g.labels[v]
-        return str(v)
-
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f'  "{name(v)}";')
-    for i, j in g.edges():
-        lines.append(f'  "{name(i)}" -- "{name(j)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def export_dot(g: Graph, names: list[str] | None = None) -> str:
+    """Deterministic DOT text: vertices in index order, each edge once.
+    Vertex v is named names[v] when names are given, else by its index."""
+    if names is None:
+        names = range(g.n)
+    lines = ["graph G {"] + [f'  "{names[v]}";' for v in range(g.n)]
+    lines += [f'  "{names[i]}" -- "{names[j]}";' for i, j in g.edges()]
+    return "\n".join(lines + ["}"]) + "\n"

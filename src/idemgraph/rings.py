@@ -198,14 +198,12 @@ class _Parser:
         if q < 2:
             self.error(f"GF({q}): {q} is not a prime power")
         p = smallest_prime_factor(q)
-        k = 0
         m = q
         while m % p == 0:
             m //= p
-            k += 1
-        if m != 1 or q < 2:
+        if m != 1:
             self.error(f"GF({q}): {q} is not a prime power")
-        if k == 1:
+        if q == p:
             return FactorSpec(p)
         if q not in IRREDUCIBLE_POLYS:
             self.error(f"GF({q}): no irreducible polynomial on file (table covers q <= 64)")

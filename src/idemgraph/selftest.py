@@ -63,10 +63,12 @@ def run_selftest(
     random_n: int = 12,
     seed: int = 0,
 ) -> dict:
-    if exhaustive_n > MAX_EXHAUSTIVE_N:
-        raise ValueError(f"exhaustive_n must be <= {MAX_EXHAUSTIVE_N}")
-    if random_n > MAX_RANDOM_N:
-        raise ValueError(f"random_n must be <= {MAX_RANDOM_N}")
+    if not 0 <= exhaustive_n <= MAX_EXHAUSTIVE_N:
+        raise ValueError(f"exhaustive_n must be in [0, {MAX_EXHAUSTIVE_N}], got {exhaustive_n}")
+    if not 0 <= random_n <= MAX_RANDOM_N:
+        raise ValueError(f"random_n must be in [0, {MAX_RANDOM_N}], got {random_n}")
+    if random_count < 0:
+        raise ValueError(f"random_count must be >= 0, got {random_count}")
     disagreements: list[dict] = []
     graphs_checked = 0
     for n in range(exhaustive_n + 1):

@@ -67,7 +67,10 @@ def enumerate_sweep_specs(config: SweepConfig) -> list[str]:
         canon[format_ring_spec(spec)] = spec.size
     singles = sorted(canon)
     specs = list(singles)
+    smallest = min(canon.values(), default=config.max_ring_size + 1)
     for k in range(2, config.max_factors + 1):
+        if smallest ** k > config.max_ring_size:  # no k-multiset fits, nor any longer one
+            break
         for combo in itertools.combinations_with_replacement(singles, k):
             size = 1
             for c in combo:

@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
-from idemgraph import cli, sweep, theorems
+from idemgraph import cli, selftest, sweep, theorems
 from idemgraph.cli import main
-from idemgraph.theorems import PROPERTIES
+from idemgraph.rings import FiniteRing, build_ring
+from idemgraph.theorems import PROPERTIES, cross_validate
 from idemgraph.sweep import (
     DEFAULT_CATALOG,
     SweepConfig,
@@ -36,6 +38,11 @@ class TestSweepEnumeration:
         specs = enumerate_sweep_specs(SweepConfig(max_ring_size=64, max_factors=2))
         assert "Z2 * Z3" in specs
         assert "Z3 * Z2" not in specs
+
+    def test_max_factors_far_above_the_size_bound_is_cheap(self):
+        with time_budget(1):
+            wide = enumerate_sweep_specs(SweepConfig(max_factors=10**6))
+        assert wide == enumerate_sweep_specs(SweepConfig(max_factors=8))
 
     def test_default_catalog_entries_local(self):
         SweepConfig().validate()
@@ -171,6 +178,20 @@ class TestCli:
         assert main(["classify", "Z2", "--dot", str(dot), "--labels"]) == 0
         assert '"0" -- "1";' in dot.read_text()
 
+    def test_labeled_dot_names_vertices_by_ring_element(self, tmp_path, capsys):
+        spec = "Z3[x]/(x^2) * Z2"
+        r = build_ring(spec)
+        names = [r.label(x) for x in r.elements]
+        exported, classified = tmp_path / "export.dot", tmp_path / "classify.dot"
+        assert main(["export", spec, "--dot", str(exported), "--labels"]) == 0
+        lines = exported.read_text().splitlines()
+        assert lines[1:1 + r.size] == [f'  "{name}";' for name in names]
+        assert '  "(x, 0)";' in lines
+        edges = [re.findall(r'"([^"]*)"', line) for line in lines[1 + r.size:-1]]
+        assert edges and all(a in names and b in names for a, b in edges)
+        assert main(["classify", spec, "--dot", str(classified), "--labels"]) == 0
+        assert classified.read_bytes() == exported.read_bytes()
+
     def test_classify_dot_builds_the_graph_once(self, tmp_path, monkeypatch, capsys):
         built = []
 
@@ -224,5 +245,40 @@ class TestCli:
         assert main(["selftest", "--exhaustive-n", "9"]) == 1
         assert main(["selftest", "--random-n", "13"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--exhaustive-n", "-2"), ("--random-count", "-5"), ("--random-n", "-3")]
+    )
+    def test_selftest_rejects_negative_sizes(self, flag, value, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(selftest, "graph_from_edges", lambda *args: built.append(args))
+        assert main(["selftest", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and f"got {value}" in err
+        assert built == []
+
     def test_usage_error(self):
         assert main(["classify"]) == 1
+
+
+class TestNoTupleArithmetic:
+    """The program path reads a ring factor by factor: FiniteRing arithmetic
+    is for the tests, and element labels are built for --labels only."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_tuple_arithmetic(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("FiniteRing tuple method called on the program path")
+
+        for name in ("add", "neg", "mul", "label"):
+            monkeypatch.setattr(FiniteRing, name, forbidden)
+
+    @pytest.mark.parametrize("spec", ["Z3[x]/(x^2) * Z2", "GF(4) * Z4", "Z6", "Z2 * Z3 * Z4"])
+    def test_cross_validate(self, spec):
+        report = cross_validate(build_ring(spec))
+        assert report.degree_formula_ok
+        assert report.mismatches == []
+
+    def test_classify_dot_without_labels(self, tmp_path, capsys):
+        dot = tmp_path / "g.dot"
+        assert main(["classify", "GF(4) * Z4", "--dot", str(dot)]) == 0
+        assert '  "15";' in dot.read_text()

@@ -156,10 +156,11 @@ class TestCensus:
 
 
 class TestExport:
-    def test_k2_labeled(self):
+    def test_names_replace_indices(self):
         g = build_idempotent_graph(build_ring("Z2"))
-        dot = export_dot(g, labels=True)
-        assert '"0" -- "1";' in dot
+        assert export_dot(g, ["zero", "one"]) == (
+            'graph G {\n  "zero";\n  "one";\n  "zero" -- "one";\n}\n'
+        )
 
     def test_z4_dot_counts(self):
         dot = export_dot(build_idempotent_graph(build_ring("Z4")))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from idemgraph.graphs import build_idempotent_graph
+from idemgraph.graphs import Graph, build_idempotent_graph
 from idemgraph.rings import build_ring, primitive_idempotents
 from idemgraph.selftest import run_selftest
 from idemgraph.theorems import (
@@ -138,6 +138,28 @@ class TestDegreeFormula:
         g = build_idempotent_graph(ring)
         assert verify_degree_formula(ring, g)
         assert sorted(g.degree(v) for v in range(9)) == [1, 1, 2, 2, 2, 2, 2, 2, 2]
+
+
+def toggled(g, i, j):
+    """g with the pair {i, j} flipped between edge and non-edge."""
+    rows = list(g.rows)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    return Graph(g.n, rows)
+
+
+class TestDegreeFormulaMutations:
+    """Multi-digit, multi-factor rings: removing any one edge or adding any
+    one non-edge must fail the check."""
+
+    @pytest.mark.parametrize("spec", ["Z3[x]/(x^2) * Z2", "GF(4) * Z4", "Z6"])
+    def test_every_toggled_pair_fails(self, spec):
+        ring = build_ring(spec)
+        g = build_idempotent_graph(ring)
+        assert verify_degree_formula(ring, g)
+        for i in range(g.n):
+            for j in range(i + 1, g.n):
+                assert not verify_degree_formula(ring, toggled(g, i, j)), (i, j)
 
 
 class TestComponentStructure:

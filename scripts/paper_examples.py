@@ -3,6 +3,7 @@
 Z3[x]/(x^2), plus small rings hitting each branch of the characterization
 theorems."""
 
+from idemgraph.graphs import build_idempotent_graph
 from idemgraph.rings import build_ring
 from idemgraph.theorems import cross_validate
 
@@ -25,7 +26,8 @@ def main():
     print(header)
     print("-" * len(header))
     for spec in RINGS:
-        d = cross_validate(build_ring(spec)).to_dict()
+        ring = build_ring(spec)
+        d = cross_validate(ring, build_idempotent_graph(ring))
 
         def cell(prop):
             return f"{d['predicted'][prop]}/{str(d['recognized'][prop]).lower()}"

@@ -9,13 +9,11 @@ from .graphs import (
     Graph,
     build_idempotent_graph,
     component_census,
-    components,
     export_dot,
     graph_from_edges,
     is_connected,
 )
 from .recognizers import (
-    Verdict,
     is_cactus,
     is_cograph,
     is_outerplanar,
@@ -38,7 +36,7 @@ from .rings import (
     parse_ring_spec,
     primitive_idempotents,
 )
-from .theorems import PROPERTIES, ClassificationReport, Property, cross_validate, predict_all
+from .theorems import PROPERTIES, Property, cross_validate, predict_all
 
 __all__ = [
     "Graph",
@@ -47,10 +45,8 @@ __all__ = [
     "RingSpecError",
     "RingSizeError",
     "LocalFactorProfile",
-    "Verdict",
     "Property",
     "PROPERTIES",
-    "ClassificationReport",
     "parse_ring_spec",
     "format_ring_spec",
     "build_ring",
@@ -59,7 +55,6 @@ __all__ = [
     "additive_closure",
     "primitive_idempotents",
     "build_idempotent_graph",
-    "components",
     "component_census",
     "is_connected",
     "graph_from_edges",

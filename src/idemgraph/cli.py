@@ -33,8 +33,7 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
 
-def _print_report(report) -> None:
-    d = report.to_dict()
+def _print_report(d: dict) -> None:
     print(f"ring        {d['spec']}")
     print(f"size        {d['size']}   characteristic {d['characteristic']}   idempotents {d['num_idempotents']}")
     factors = ", ".join(
@@ -68,14 +67,15 @@ def _write_dot(path: str, ring, g, labels: bool) -> None:
 
 def cmd_classify(args) -> int:
     ring = build_ring(args.spec, max_size=args.max_size)
-    report = cross_validate(ring)
+    g = build_idempotent_graph(ring)
+    report = cross_validate(ring, g)
     if args.dot:
-        _write_dot(args.dot, ring, report.graph, args.labels)
+        _write_dot(args.dot, ring, g, args.labels)
     if args.json:
-        print(report.to_json())
+        print(summary_json(report))
     else:
         _print_report(report)
-    return EXIT_MISMATCH if report.mismatches else EXIT_OK
+    return EXIT_MISMATCH if report["mismatches"] else EXIT_OK
 
 
 def cmd_verify(args) -> int:

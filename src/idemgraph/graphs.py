@@ -7,8 +7,6 @@ constructors used by the recognizer oracles, and DOT export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rings import FiniteRing, idempotents
 
 
@@ -153,22 +151,13 @@ def set_bits(mask: int) -> list[int]:
     return out
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    return [set_bits(c) for c in masked_components(g.rows, (1 << g.n) - 1)]
-
-
 def is_connected(g: Graph) -> bool:
     return len(masked_components(g.rows, (1 << g.n) - 1)) <= 1
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
-    size: int
-    shape: str  # path | even-cycle | odd-cycle | complete | other
-
-
-def component_census(g: Graph) -> list[ComponentRecord]:
+def component_census(g: Graph) -> list[tuple[int, str]]:
+    """(size, shape) of each component, ordered by least vertex; the shape
+    is path, even-cycle, odd-cycle, complete or other."""
     out = []
     for comp in masked_components(g.rows, (1 << g.n) - 1):
         degs = [(g.rows[v] & comp).bit_count() for v in set_bits(comp)]
@@ -182,7 +171,7 @@ def component_census(g: Graph) -> list[ComponentRecord]:
             shape = "even-cycle" if s % 2 == 0 else "odd-cycle"
         else:
             shape = "other"
-        out.append(ComponentRecord(size=s, shape=shape))
+        out.append((s, shape))
     return out
 
 

@@ -9,20 +9,9 @@ planarity check; everything else works directly on bitset rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import networkx as nx
 
 from .graphs import Graph, is_connected, masked_components, set_bits
-
-
-@dataclass(frozen=True)
-class Verdict:
-    value: bool
-    witness: frozenset[int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.value
 
 
 def _to_networkx(g: Graph) -> nx.Graph:
@@ -32,30 +21,30 @@ def _to_networkx(g: Graph) -> nx.Graph:
     return h
 
 
-def is_planar(g: Graph) -> Verdict:
+def is_planar(g: Graph) -> bool:
     # Euler bound: a planar graph on n >= 3 vertices has at most 3n - 6 edges.
     if g.n >= 3 and g.edge_count() > 3 * g.n - 6:
-        return Verdict(False)
+        return False
     ok, _ = nx.check_planarity(_to_networkx(g), counterexample=False)
-    return Verdict(ok)
+    return ok
 
 
-def is_outerplanar(g: Graph) -> Verdict:
+def is_outerplanar(g: Graph) -> bool:
     # An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges, and
     # one on n >= 1 vertices has a vertex of degree at most 2.
     if g.n >= 2 and g.edge_count() > 2 * g.n - 3:
-        return Verdict(False)
+        return False
     if g.n and min(r.bit_count() for r in g.rows) >= 3:
-        return Verdict(False)
+        return False
     # Standard reduction: outerplanar iff the graph plus an apex vertex
     # adjacent to everything is planar.
     full = (1 << g.n) - 1
     rows = [r | (1 << g.n) for r in g.rows]
     rows.append(full)
-    return Verdict(is_planar(Graph(g.n + 1, rows)).value)
+    return is_planar(Graph(g.n + 1, rows))
 
 
-def is_split(g: Graph) -> Verdict:
+def is_split(g: Graph) -> bool:
     """Degree-sequence characterization (Hammer-Simeone).
 
     With d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the graph is
@@ -68,10 +57,10 @@ def is_split(g: Graph) -> Verdict:
             m = i
     lhs = sum(degs[:m])
     rhs = m * (m - 1) + sum(degs[m:])
-    return Verdict(lhs == rhs)
+    return lhs == rhs
 
 
-def is_threshold(g: Graph) -> Verdict:
+def is_threshold(g: Graph) -> bool:
     """Peel vertices that are isolated or dominating until nothing is left."""
     alive = (1 << g.n) - 1
     count = g.n
@@ -88,11 +77,11 @@ def is_threshold(g: Graph) -> Verdict:
                 progress = True
                 break
         if not progress:
-            return Verdict(False)
-    return Verdict(True)
+            return False
+    return True
 
 
-def is_cograph(g: Graph) -> Verdict:
+def is_cograph(g: Graph) -> bool:
     """Cotree decomposition: every induced subgraph on >= 2 vertices must be
     disconnected or have a disconnected complement."""
     co_rows = [r ^ -1 for r in g.rows]
@@ -105,24 +94,24 @@ def is_cograph(g: Graph) -> Verdict:
         if len(parts) == 1:
             co_parts = masked_components(co_rows, mask)
             if len(co_parts) == 1:
-                return Verdict(False)
+                return False
             stack.extend(co_parts)
         else:
             stack.extend(parts)
-    return Verdict(True)
+    return True
 
 
-def is_cactus(g: Graph) -> Verdict:
+def is_cactus(g: Graph) -> bool:
     """Connected and every biconnected block is a single edge or a cycle
     (equivalently: no edge lies on two simple cycles).  A cactus has at
     most 3(n - 1)/2 edges, so denser graphs are rejected without a search."""
     if g.n == 0 or 2 * g.edge_count() > 3 * (g.n - 1) or not is_connected(g):
-        return Verdict(False)
+        return False
     for block_edges in _biconnected_blocks(g):
         verts = {v for e in block_edges for v in e}
         if len(block_edges) > len(verts):
-            return Verdict(False)
-    return Verdict(True)
+            return False
+    return True
 
 
 def _biconnected_blocks(g: Graph):
@@ -168,5 +157,5 @@ def _biconnected_blocks(g: Graph):
                         yield block
 
 
-def is_unicyclic(g: Graph) -> Verdict:
-    return Verdict(g.n > 0 and g.edge_count() == g.n and is_connected(g))
+def is_unicyclic(g: Graph) -> bool:
+    return g.n > 0 and g.edge_count() == g.n and is_connected(g)

@@ -15,6 +15,8 @@ from .theorems import PROPERTIES
 
 MAX_EXHAUSTIVE_N = 7
 MAX_RANDOM_N = 12
+# About 5 minutes at 3 ms per 12-vertex graph.
+MAX_RANDOM_COUNT = 100_000
 
 # The properties that have a brute-force oracle to compare the recognizer with.
 CHECKED = tuple(p for p in PROPERTIES if p.oracle is not None)
@@ -67,8 +69,8 @@ def run_selftest(
         raise ValueError(f"exhaustive_n must be in [0, {MAX_EXHAUSTIVE_N}], got {exhaustive_n}")
     if not 0 <= random_n <= MAX_RANDOM_N:
         raise ValueError(f"random_n must be in [0, {MAX_RANDOM_N}], got {random_n}")
-    if random_count < 0:
-        raise ValueError(f"random_count must be >= 0, got {random_count}")
+    if not 0 <= random_count <= MAX_RANDOM_COUNT:
+        raise ValueError(f"random_count must be in [0, {MAX_RANDOM_COUNT}], got {random_count}")
     disagreements: list[dict] = []
     graphs_checked = 0
     for n in range(exhaustive_n + 1):

@@ -13,6 +13,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from .graphs import build_idempotent_graph
 from .rings import DEFAULT_MAX_RING_SIZE, build_ring, format_ring_spec, is_local, parse_ring_spec
 from .theorems import cross_validate
 
@@ -83,7 +84,7 @@ def enumerate_sweep_specs(config: SweepConfig) -> list[str]:
 def _classify_one(args: tuple[str, int]) -> dict:
     spec_text, max_size = args
     ring = build_ring(spec_text, max_size=max_size)
-    return cross_validate(ring).to_dict()
+    return cross_validate(ring, build_idempotent_graph(ring))
 
 
 def run_sweep(config: SweepConfig) -> dict:
@@ -132,6 +133,7 @@ def run_sweep(config: SweepConfig) -> dict:
 
 
 def summary_json(summary: dict) -> str:
+    """The one JSON layout, for a sweep summary and for a single report."""
     return json.dumps(summary, indent=2, sort_keys=True)
 
 

@@ -12,18 +12,11 @@ are explicitly not-applicable (None) rather than silently extended.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import oracles, recognizers
-from .graphs import (
-    Graph,
-    build_idempotent_graph,
-    component_census,
-    is_connected,
-    is_path_graph,
-)
+from .graphs import Graph, component_census, is_connected, is_path_graph
 from .rings import (
     FiniteRing,
     LocalFactorProfile,
@@ -98,26 +91,26 @@ PROPERTIES: tuple[Property, ...] = (
     Property("path_graph", False, predict_path, is_path_graph),
     Property(
         "planar", True, predict_planar,
-        lambda g: recognizers.is_planar(g).value, oracles.kuratowski_oracle,
+        lambda g: recognizers.is_planar(g), oracles.kuratowski_oracle,
     ),
     Property(
         "outerplanar", True, predict_never,
-        lambda g: recognizers.is_outerplanar(g).value, oracles.outerplanar_oracle,
+        lambda g: recognizers.is_outerplanar(g), oracles.outerplanar_oracle,
     ),
     Property(
         "split", True, predict_split,
-        lambda g: recognizers.is_split(g).value, lambda g: oracles.split_oracle(g) is None,
+        lambda g: recognizers.is_split(g), lambda g: oracles.split_oracle(g) is None,
     ),
     Property(
         "threshold", True, predict_split,
-        lambda g: recognizers.is_threshold(g).value, lambda g: oracles.threshold_oracle(g) is None,
+        lambda g: recognizers.is_threshold(g), lambda g: oracles.threshold_oracle(g) is None,
     ),
     Property(
         "cograph", True, predict_cograph,
-        lambda g: recognizers.is_cograph(g).value, lambda g: oracles.cograph_oracle(g) is None,
+        lambda g: recognizers.is_cograph(g), lambda g: oracles.cograph_oracle(g) is None,
     ),
-    Property("cactus", True, predict_never, lambda g: recognizers.is_cactus(g).value),
-    Property("unicyclic", True, predict_never, lambda g: recognizers.is_unicyclic(g).value),
+    Property("cactus", True, predict_never, lambda g: recognizers.is_cactus(g)),
+    Property("unicyclic", True, predict_never, lambda g: recognizers.is_unicyclic(g)),
 )
 
 
@@ -158,11 +151,11 @@ def verify_component_structure(ring: FiniteRing, g: Graph) -> bool:
         raise ValueError("component-structure check applies to rings with trivial idempotents only")
     path_sizes = set()
     cycle_sizes = set()
-    for rec in component_census(g):
-        if rec.shape == "path":
-            path_sizes.add(rec.size)
-        elif rec.shape == "even-cycle":
-            cycle_sizes.add(rec.size)
+    for size, shape in component_census(g):
+        if shape == "path":
+            path_sizes.add(size)
+        elif shape == "even-cycle":
+            cycle_sizes.add(size)
         else:
             return False
     return len(path_sizes) <= 1 and len(cycle_sizes) <= 1
@@ -172,59 +165,10 @@ def _tristate(v: bool | None) -> str:
     return "not-applicable" if v is None else ("true" if v else "false")
 
 
-@dataclass
-class ClassificationReport:
-    spec_text: str
-    size: int
-    characteristic: int
-    num_idempotents: int
-    factors: list[LocalFactorProfile]
-    graph: Graph
-    component_count: int
-    census: list[tuple[int, str]]
-    recognized: dict[str, bool]
-    predicted: dict[str, bool | None]
-    degree_formula_ok: bool
-    component_structure_ok: bool | None
-    mismatches: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec_text,
-            "size": self.size,
-            "characteristic": self.characteristic,
-            "num_idempotents": self.num_idempotents,
-            "factors": [
-                {
-                    "factor_size": p.factor_size,
-                    "factor_char": p.factor_char,
-                    "generated_by_idempotents": p.generated_by_idempotents,
-                    "is_z2": p.is_z2,
-                    "is_z3": p.is_z3,
-                }
-                for p in self.factors
-            ],
-            "graph": {
-                "n": self.graph.n,
-                "edges": self.graph.edge_count(),
-                "components": self.component_count,
-                "census": [{"size": s, "shape": sh} for s, sh in self.census],
-            },
-            "recognized": self.recognized,
-            "predicted": {name: _tristate(v) for name, v in self.predicted.items()},
-            "degree_formula_ok": self.degree_formula_ok,
-            "component_structure_ok": self.component_structure_ok,
-            "mismatches": self.mismatches,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def cross_validate(ring: FiniteRing) -> ClassificationReport:
-    """Build the idempotent graph, run every recognizer and predicate, and
-    record any disagreement between a prediction and the graph verdict."""
-    g = build_idempotent_graph(ring)
+def cross_validate(ring: FiniteRing, g: Graph) -> dict:
+    """Run every recognizer and predicate on the ring's idempotent graph g
+    and report, as a JSON-ready dict, any disagreement between a prediction
+    and the graph verdict."""
     recognized = recognize_all(g)
     profiles = primitive_idempotents(ring)
     predicted = predict_all(ring, profiles)
@@ -247,18 +191,30 @@ def cross_validate(ring: FiniteRing) -> ClassificationReport:
             mismatches.append(
                 {"property": "component_structure", "predicted": "true", "recognized": False}
             )
-    return ClassificationReport(
-        spec_text=format_ring_spec(ring.spec),
-        size=ring.size,
-        characteristic=ring.characteristic,
-        num_idempotents=len(idempotents(ring)),
-        factors=profiles,
-        graph=g,
-        component_count=len(census),
-        census=[(rec.size, rec.shape) for rec in census],
-        recognized=recognized,
-        predicted=predicted,
-        degree_formula_ok=degree_ok,
-        component_structure_ok=structure_ok,
-        mismatches=mismatches,
-    )
+    return {
+        "spec": format_ring_spec(ring.spec),
+        "size": ring.size,
+        "characteristic": ring.characteristic,
+        "num_idempotents": len(idempotents(ring)),
+        "factors": [
+            {
+                "factor_size": p.factor_size,
+                "factor_char": p.factor_char,
+                "generated_by_idempotents": p.generated_by_idempotents,
+                "is_z2": p.is_z2,
+                "is_z3": p.is_z3,
+            }
+            for p in profiles
+        ],
+        "graph": {
+            "n": g.n,
+            "edges": g.edge_count(),
+            "components": len(census),
+            "census": [{"size": size, "shape": shape} for size, shape in census],
+        },
+        "recognized": recognized,
+        "predicted": {name: _tristate(v) for name, v in predicted.items()},
+        "degree_formula_ok": degree_ok,
+        "component_structure_ok": structure_ok,
+        "mismatches": mismatches,
+    }

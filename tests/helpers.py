@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
-from idemgraph.graphs import Graph, graph_from_edges
+from idemgraph.graphs import Graph, graph_from_edges, masked_components, set_bits
 from idemgraph.oracles import MAX_PATTERN_VERTICES, OracleSizeError
 
 
@@ -56,6 +56,11 @@ def graphs(draw, max_n=8):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     picks = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     return graph_from_edges(n, picks)
+
+
+def components(g: Graph) -> list[list[int]]:
+    """Connected components as sorted vertex lists, ordered by least vertex."""
+    return [set_bits(c) for c in masked_components(g.rows, (1 << g.n) - 1)]
 
 
 def induced_subgraph(g: Graph, verts) -> Graph:

@@ -52,7 +52,7 @@ def test_criterion_1_paper_example_regressions():
             verdict = is_planar(g)
             elapsed = time.time() - t0
             assert g.n == n
-            assert verdict.value is False, spec
+            assert verdict is False, spec
             assert elapsed < 1.0, (spec, elapsed)
 
 
@@ -63,7 +63,7 @@ def test_criterion_2_split_threshold_theorem(products):
             size = 2**n
             assert g.n == size
             assert g.edge_count() == size * (size - 1) // 2  # K_{2^n}
-            assert is_split(g).value and is_threshold(g).value
+            assert is_split(g) and is_threshold(g)
         for rep in products:
             expect = all(f["factor_size"] == 2 for f in rep["factors"])
             assert rep["predicted"]["split"] == ("true" if expect else "false")
@@ -134,10 +134,7 @@ def test_criterion_8_component_structure(sweep):
         for rep in sweep["reports"]:
             if rep["component_structure_ok"] is not None:
                 assert rep["component_structure_ok"] is True, rep["spec"]
-        census = sorted(
-            (c.size, c.shape)
-            for c in component_census(build_idempotent_graph(build_ring("Z3[x]/(x^2)")))
-        )
+        census = sorted(component_census(build_idempotent_graph(build_ring("Z3[x]/(x^2)"))))
         assert census == [(3, "path"), (6, "even-cycle")]
 
 

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from idemgraph import cli, selftest, sweep, theorems
+from idemgraph import cli, selftest, sweep
 from idemgraph.cli import main
+from idemgraph.graphs import build_idempotent_graph
 from idemgraph.rings import FiniteRing, build_ring
 from idemgraph.theorems import PROPERTIES, cross_validate
 from idemgraph.sweep import (
@@ -17,6 +22,8 @@ from idemgraph.sweep import (
 )
 
 from helpers import time_budget
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSweepEnumeration:
@@ -56,6 +63,89 @@ def eval_size(spec_text):
     from idemgraph.rings import parse_ring_spec
 
     return parse_ring_spec(spec_text).size
+
+
+# The complete stdout of `classify Z6`, text and --json: the report layout is
+# part of the interface, so any change to it shows here byte for byte.
+Z6_TEXT = """\
+ring        Z6
+size        6   characteristic 6   idempotents 4
+factors     (size 2, char 2), (size 3, char 3)
+graph       6 vertices, 10 edges, 1 component(s): other(6)
+property      predicted        recognized
+  connected   true             true
+  path_graph  false            false
+  planar      true             true
+  outerplanar false            false
+  split       false            false
+  threshold   false            false
+  cograph     true             true
+  cactus      false            false
+  unicyclic   false            false
+degree formula ok: True
+no mismatches
+"""
+
+Z6_JSON = """\
+{
+  "characteristic": 6,
+  "component_structure_ok": null,
+  "degree_formula_ok": true,
+  "factors": [
+    {
+      "factor_char": 2,
+      "factor_size": 2,
+      "generated_by_idempotents": true,
+      "is_z2": true,
+      "is_z3": false
+    },
+    {
+      "factor_char": 3,
+      "factor_size": 3,
+      "generated_by_idempotents": true,
+      "is_z2": false,
+      "is_z3": true
+    }
+  ],
+  "graph": {
+    "census": [
+      {
+        "shape": "other",
+        "size": 6
+      }
+    ],
+    "components": 1,
+    "edges": 10,
+    "n": 6
+  },
+  "mismatches": [],
+  "num_idempotents": 4,
+  "predicted": {
+    "cactus": "false",
+    "cograph": "true",
+    "connected": "true",
+    "outerplanar": "false",
+    "path_graph": "false",
+    "planar": "true",
+    "split": "false",
+    "threshold": "false",
+    "unicyclic": "false"
+  },
+  "recognized": {
+    "cactus": false,
+    "cograph": true,
+    "connected": true,
+    "outerplanar": false,
+    "path_graph": false,
+    "planar": true,
+    "split": false,
+    "threshold": false,
+    "unicyclic": false
+  },
+  "size": 6,
+  "spec": "Z6"
+}
+"""
 
 
 class TestSweep:
@@ -139,6 +229,11 @@ class TestCli:
         assert data["predicted"]["planar"] == "false"
         assert data["recognized"]["planar"] is False
 
+    @pytest.mark.parametrize("flags,golden", [([], Z6_TEXT), (["--json"], Z6_JSON)], ids=["text", "json"])
+    def test_classify_z6_stdout_golden(self, flags, golden, capsys):
+        assert main(["classify", "Z6", *flags]) == 0
+        assert capsys.readouterr().out == golden
+
     def test_classify_parse_error_exit_1(self, capsys):
         assert main(["classify", "Z0"]) == 1
         assert "error" in capsys.readouterr().err
@@ -199,8 +294,7 @@ class TestCli:
             built.append(ring)
             return real(ring)
 
-        real = theorems.build_idempotent_graph
-        monkeypatch.setattr(theorems, "build_idempotent_graph", counting)
+        real = cli.build_idempotent_graph
         monkeypatch.setattr(cli, "build_idempotent_graph", counting)
         classified, exported = tmp_path / "classify.dot", tmp_path / "export.dot"
         assert main(["classify", "Z4*Z2", "--dot", str(classified)]) == 0
@@ -246,12 +340,19 @@ class TestCli:
         assert main(["selftest", "--random-n", "13"]) == 1
 
     @pytest.mark.parametrize(
-        "flag,value", [("--exhaustive-n", "-2"), ("--random-count", "-5"), ("--random-n", "-3")]
+        "flag,value",
+        [
+            ("--exhaustive-n", "-2"),
+            ("--random-count", "-5"),
+            ("--random-n", "-3"),
+            ("--random-count", "1000000000"),
+        ],
     )
-    def test_selftest_rejects_negative_sizes(self, flag, value, monkeypatch, capsys):
+    def test_selftest_rejects_out_of_range_sizes(self, flag, value, monkeypatch, capsys):
         built = []
         monkeypatch.setattr(selftest, "graph_from_edges", lambda *args: built.append(args))
-        assert main(["selftest", flag, value]) == 1
+        with time_budget(1.0):
+            assert main(["selftest", flag, value]) == 1
         err = capsys.readouterr().err
         assert flag[2:].replace("-", "_") in err and f"got {value}" in err
         assert built == []
@@ -274,11 +375,25 @@ class TestNoTupleArithmetic:
 
     @pytest.mark.parametrize("spec", ["Z3[x]/(x^2) * Z2", "GF(4) * Z4", "Z6", "Z2 * Z3 * Z4"])
     def test_cross_validate(self, spec):
-        report = cross_validate(build_ring(spec))
-        assert report.degree_formula_ok
-        assert report.mismatches == []
+        ring = build_ring(spec)
+        report = cross_validate(ring, build_idempotent_graph(ring))
+        assert report["degree_formula_ok"]
+        assert report["mismatches"] == []
 
     def test_classify_dot_without_labels(self, tmp_path, capsys):
         dot = tmp_path / "g.dot"
         assert main(["classify", "GF(4) * Z4", "--dot", str(dot)]) == 0
         assert '  "15";' in dot.read_text()
+
+
+def test_paper_examples_script_runs_clean():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "paper_examples.py")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = run.stdout.splitlines()[2:]
+    assert len(rows) == 10
+    assert all(row.split()[-1] == "0" for row in rows)  # the mismatches column

@@ -10,6 +10,7 @@ from idemgraph.graphs import (
     path_graph,
     two_k2,
 )
+from idemgraph import recognizers
 from idemgraph.oracles import (
     cograph_oracle,
     kuratowski_oracle,
@@ -28,6 +29,7 @@ from idemgraph.recognizers import (
 )
 from idemgraph.rings import build_ring
 from idemgraph.selftest import all_graphs
+from idemgraph.theorems import PROPERTIES
 
 from helpers import complete_bipartite_graph, complete_graph, graphs, relabel
 
@@ -163,21 +165,21 @@ class TestAgainstOraclesExhaustive:
     def test_all_graphs_up_to_five_vertices(self):
         for n in range(6):
             for g in all_graphs(n):
-                assert is_planar(g).value == kuratowski_oracle(g)
-                assert is_outerplanar(g).value == outerplanar_oracle(g)
-                assert is_split(g).value == (split_oracle(g) is None)
-                assert is_threshold(g).value == (threshold_oracle(g) is None)
-                assert is_cograph(g).value == (cograph_oracle(g) is None)
+                assert is_planar(g) == kuratowski_oracle(g)
+                assert is_outerplanar(g) == outerplanar_oracle(g)
+                assert is_split(g) == (split_oracle(g) is None)
+                assert is_threshold(g) == (threshold_oracle(g) is None)
+                assert is_cograph(g) == (cograph_oracle(g) is None)
 
 
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=8))
 def test_random_graphs_agree_with_oracles(g):
-    assert is_planar(g).value == kuratowski_oracle(g)
-    assert is_outerplanar(g).value == outerplanar_oracle(g)
-    assert is_split(g).value == (split_oracle(g) is None)
-    assert is_threshold(g).value == (threshold_oracle(g) is None)
-    assert is_cograph(g).value == (cograph_oracle(g) is None)
+    assert is_planar(g) == kuratowski_oracle(g)
+    assert is_outerplanar(g) == outerplanar_oracle(g)
+    assert is_split(g) == (split_oracle(g) is None)
+    assert is_threshold(g) == (threshold_oracle(g) is None)
+    assert is_cograph(g) == (cograph_oracle(g) is None)
 
 
 def cactus_oracle(g):
@@ -195,7 +197,7 @@ def cactus_oracle(g):
 @settings(max_examples=300, deadline=None)
 @given(graphs(max_n=8))
 def test_cactus_agrees_with_block_oracle(g):
-    assert is_cactus(g).value == cactus_oracle(g)
+    assert is_cactus(g) == cactus_oracle(g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,4 +222,16 @@ def test_relabeling_invariance(g, rnd):
     rnd.shuffle(perm)
     h = relabel(g, perm)
     for rec in (is_planar, is_outerplanar, is_split, is_threshold, is_cograph, is_cactus, is_unicyclic):
-        assert rec(g).value == rec(h).value, rec.__name__
+        assert rec(g) == rec(h), rec.__name__
+
+
+RECOGNIZERS = [getattr(recognizers, name) for name in dir(recognizers) if name.startswith("is_")]
+
+
+def test_verdicts_are_exactly_bool():
+    # a verdict that is 1 or 0, or a truthy wrapper, would reach the JSON
+    # report as 1/0 or fail to serialize, not as true/false
+    rings = [ring_graph(spec) for spec in ("Z6", "Z9", "GF(4)", "Z2 * Z2", "Z3[x]/(x^2) * Z2")]
+    for g in [g for n in range(5) for g in all_graphs(n)] + rings:
+        for recognize in RECOGNIZERS + [p.recognize for p in PROPERTIES]:
+            assert type(recognize(g)) is bool, (recognize, g, sorted(g.edges()))

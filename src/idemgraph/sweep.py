@@ -7,7 +7,6 @@ mismatch is the headline event and surfaces as a nonzero mismatch count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -68,16 +67,20 @@ def enumerate_sweep_specs(config: SweepConfig) -> list[str]:
         canon[format_ring_spec(spec)] = spec.size
     singles = sorted(canon)
     specs = list(singles)
-    smallest = min(canon.values(), default=config.max_ring_size + 1)
-    for k in range(2, config.max_factors + 1):
-        if smallest ** k > config.max_ring_size:  # no k-multiset fits, nor any longer one
+    # Multisets as non-decreasing index tuples with their product size, grown
+    # one factor at a time; one whose product exceeds the bound is dropped
+    # at once, so the walk never extends a multiset it does not return.
+    grown = [((i,), canon[s]) for i, s in enumerate(singles) if canon[s] <= config.max_ring_size]
+    for _ in range(config.max_factors - 1):
+        grown = [
+            (combo + (j,), size * canon[singles[j]])
+            for combo, size in grown
+            for j in range(combo[-1], len(singles))
+            if size * canon[singles[j]] <= config.max_ring_size
+        ]
+        if not grown:
             break
-        for combo in itertools.combinations_with_replacement(singles, k):
-            size = 1
-            for c in combo:
-                size *= canon[c]
-            if size <= config.max_ring_size:
-                specs.append(" * ".join(combo))
+        specs.extend(" * ".join(singles[j] for j in combo) for combo, _ in grown)
     return sorted(set(specs))
 
 

@@ -1,4 +1,7 @@
+import ast
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -51,6 +54,26 @@ class TestSweepEnumeration:
             wide = enumerate_sweep_specs(SweepConfig(max_factors=10**6))
         assert wide == enumerate_sweep_specs(SweepConfig(max_factors=8))
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SweepConfig(),
+            SweepConfig(max_ring_size=64, max_factors=2),
+            SweepConfig(max_ring_size=256, max_factors=6),
+            SweepConfig(max_ring_size=512, max_factors=4),
+            # GF(4) is spelled twice; GF(9) alone is above the bound but kept
+            SweepConfig(max_ring_size=8, catalog=("GF(9)", "Z2", "GF(4)", "Z2[x]/(x^2 + x + 1)")),
+        ],
+    )
+    def test_pruned_walk_returns_what_the_full_walk_returns(self, config):
+        assert enumerate_sweep_specs(config) == every_multiset_then_filter(config)
+
+    def test_every_spec_up_to_the_size_cap_within_budget(self):
+        with time_budget(0.5):
+            specs = enumerate_sweep_specs(SweepConfig(max_factors=10**6, max_ring_size=4096))
+        assert len(specs) == 7257
+        assert len(enumerate_sweep_specs(SweepConfig())) == 403
+
     def test_default_catalog_entries_local(self):
         SweepConfig().validate()
 
@@ -63,6 +86,21 @@ def eval_size(spec_text):
     from idemgraph.rings import parse_ring_spec
 
     return parse_ring_spec(spec_text).size
+
+
+def every_multiset_then_filter(config):
+    """The reference walk: every k-multiset of the canonical catalog for
+    each k, kept when its product is within bound, plus every single."""
+    from idemgraph.rings import format_ring_spec, parse_ring_spec
+
+    size = {format_ring_spec(s): s.size for s in map(parse_ring_spec, config.catalog)}
+    singles = sorted(size)
+    specs = set(singles)
+    for k in range(2, config.max_factors + 1):
+        for combo in itertools.combinations_with_replacement(singles, k):
+            if math.prod(size[c] for c in combo) <= config.max_ring_size:
+                specs.add(" * ".join(combo))
+    return sorted(specs)
 
 
 # The complete stdout of `classify Z6`, text and --json: the report layout is
@@ -397,3 +435,24 @@ def test_paper_examples_script_runs_clean():
     rows = run.stdout.splitlines()[2:]
     assert len(rows) == 10
     assert all(row.split()[-1] == "0" for row in rows)  # the mismatches column
+
+
+def test_the_package_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "idemgraph").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, idemgraph.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

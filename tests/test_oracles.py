@@ -22,6 +22,7 @@ from idemgraph.oracles import (
     split_oracle,
     threshold_oracle,
 )
+from idemgraph import recognizers
 from idemgraph.rings import build_ring
 from idemgraph.selftest import random_graph
 
@@ -135,7 +136,8 @@ class TestMinorSearchAgainstNetworkx:
     def test_every_seven_vertex_atlas_graph(self):
         # The atlas (Read and Wilson) lists each of the 1,044 graphs on 7
         # vertices once up to isomorphism.  A graph is outerplanar iff it
-        # stays planar with one more vertex joined to every vertex.
+        # stays planar with one more vertex joined to every vertex.  The
+        # recognizers are held to the same verdicts.
         seven = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
         assert len(seven) == 1044
         planar = outerplanar = 0
@@ -147,6 +149,8 @@ class TestMinorSearchAgainstNetworkx:
             apex.add_edges_from((7, v) for v in range(7))
             is_outerplanar = outerplanar_oracle(g)
             assert is_outerplanar == nx.check_planarity(apex)[0], sorted(g.edges())
+            assert recognizers.is_planar(g) == is_planar, sorted(g.edges())
+            assert recognizers.is_outerplanar(g) == is_outerplanar, sorted(g.edges())
             planar += is_planar
             outerplanar += is_outerplanar
         assert (planar, outerplanar) == (822, 277)

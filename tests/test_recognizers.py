@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -29,9 +31,13 @@ from idemgraph.recognizers import (
 )
 from idemgraph.rings import build_ring
 from idemgraph.selftest import all_graphs
+from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
 from idemgraph.theorems import PROPERTIES
 
-from helpers import complete_bipartite_graph, complete_graph, graphs, relabel
+from helpers import complete_bipartite_graph, complete_graph, graphs, relabel, time_budget
+
+# The rings of the classify-large benchmark workload, 256 to 4,096 elements.
+LARGE_RINGS = (" * ".join(["Z4"] * 6), "GF(64) * GF(64)", " * ".join(["Z2"] * 8), "GF(16) * GF(16) * GF(16)")
 
 
 def ring_graph(spec):
@@ -180,6 +186,96 @@ def test_random_graphs_agree_with_oracles(g):
     assert is_split(g) == (split_oracle(g) is None)
     assert is_threshold(g) == (threshold_oracle(g) is None)
     assert is_cograph(g) == (cograph_oracle(g) is None)
+
+
+def networkx_verdicts(g):
+    """(planar, outerplanar) by networkx's left-right planarity test, the
+    second on the graph plus an apex vertex joined to every vertex."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n + 1))
+    h.add_edges_from(g.edges())
+    planar = nx.check_planarity(h)[0]
+    h.add_edges_from((g.n, v) for v in range(g.n))
+    return planar, nx.check_planarity(h)[0]
+
+
+@st.composite
+def near_triangulations(draw, max_n=40):
+    """A stacked triangulation (a triangle, then each new vertex joined to
+    the corners of a face it splits), with a few edges deleted and up to two
+    non-edges added, vertices shuffled.  It has 3n - 6 edges before the
+    changes, so after them the edge counts rarely decide planarity."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    edges = {(0, 1), (0, 2), (1, 2)}
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rnd.randrange(len(faces)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    edges = set(rnd.sample(sorted(edges), len(edges) - draw(st.integers(0, min(4, len(edges))))))
+    non_edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    edges |= set(rnd.sample(non_edges, min(len(non_edges), draw(st.integers(0, 2)))))
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    return graph_from_edges(n, [(perm[i], perm[j]) for i, j in edges])
+
+
+@st.composite
+def sparse_graphs(draw, max_n=40):
+    """Random graphs around the planarity threshold: mean degree 2 to 6."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.integers(2, 6)) / max(n - 1, 1)
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p])
+
+
+class TestPlanarityAgainstNetworkx:
+    @settings(max_examples=300, deadline=None)
+    @given(near_triangulations())
+    def test_near_triangulations(self, g):
+        assert (is_planar(g), is_outerplanar(g)) == networkx_verdicts(g), sorted(g.edges())
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_graphs())
+    def test_sparse_graphs(self, g):
+        assert (is_planar(g), is_outerplanar(g)) == networkx_verdicts(g), sorted(g.edges())
+
+    def test_triangulation_plus_an_edge_inside_a_larger_sparse_graph(self):
+        # Octahedron (6 vertices, 12 = 3n - 6 edges) plus the diagonal 0-3:
+        # 13 edges, non-planar.  A path of 10 more vertices keeps the whole
+        # graph within 3n - 6, so the block, not the graph, must decide it.
+        octahedron = [(i, j) for i in range(6) for j in range(i + 1, 6) if j - i != 3]
+        g = graph_from_edges(16, octahedron + [(0, 3)] + [(v, v + 1) for v in range(5, 15)])
+        assert g.edge_count() <= 3 * g.n - 6
+        assert not is_planar(g)
+        assert is_planar(graph_from_edges(16, octahedron + [(v, v + 1) for v in range(5, 15)]))
+
+    def test_every_default_sweep_ring(self):
+        for spec in enumerate_sweep_specs(SweepConfig()):
+            g = ring_graph(spec)
+            assert (is_planar(g), is_outerplanar(g)) == networkx_verdicts(g), spec
+
+    @pytest.mark.parametrize("spec", LARGE_RINGS)
+    def test_large_rings(self, spec):
+        g = ring_graph(spec)
+        assert (is_planar(g), is_outerplanar(g)) == networkx_verdicts(g), spec
+
+    def test_gf64_squared_is_quick(self):
+        # 1,024 separate K4 components on 4,096 vertices
+        g = ring_graph("GF(64) * GF(64)")
+        with time_budget(1.0):
+            assert is_planar(g)
+            assert not is_outerplanar(g)
+
+    def test_blocks_of_four_thousand_vertices_are_quick(self):
+        # Z2 x Z2048 is one planar block on 4,096 vertices, and Z4096 is a
+        # path, whose apex graph is one block on 4,097.  Path addition that
+        # rescans every fragment at every step took 20 s and more on these.
+        product, path = ring_graph("Z2 * Z2048"), ring_graph("Z4096")
+        with time_budget(3.0):
+            assert is_planar(product)
+            assert is_outerplanar(path)
 
 
 def cactus_oracle(g):

@@ -11,7 +11,9 @@ vectors, one per factor, always kept in canonical reduced form.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 Coeffs = tuple[int, ...]
@@ -117,128 +119,16 @@ def format_ring_spec(spec: RingSpec) -> str:
     return " * ".join(parts)
 
 
-class _Parser:
-    def __init__(self, text: str, max_size: int):
-        self.text = text
-        self.pos = 0
-        self.max_size = max_size
-
-    def error(self, msg: str):
-        raise RingSpecError(msg, self.pos)
-
-    def bound(self, factor: str, modulus: int, degree: int = 1):
-        """Reject a factor of modulus**degree elements above the size bound
-        before any work depends on it; never computes a huge power."""
-        size = 1
-        for _ in range(degree):
-            size *= modulus
-            if size > self.max_size:
-                raise RingSizeError(
-                    f"factor {factor} has more than {self.max_size} elements"
-                )
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, s: str):
-        self.skip_ws()
-        if not self.text.startswith(s, self.pos):
-            self.error(f"expected {s!r}")
-        self.pos += len(s)
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a number")
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # more digits than int() converts
-            self.error("number too long")
-
-    def factor(self) -> FactorSpec:
-        self.skip_ws()
-        if self.text.startswith("GF", self.pos):
-            self.pos += 2
-            self.expect("(")
-            q = self.nat()
-            self.expect(")")
-            self.bound(f"GF({q})", q)
-            return self.galois_factor(q)
-        if self.peek() != "Z":
-            self.error("expected a factor ('Z<n>', 'Z<n>[x]/(f)' or 'GF(q)')")
-        self.pos += 1
-        n = self.nat()
-        if n < 2:
-            self.error(f"modulus must be >= 2, got {n}")
-        self.bound(f"Z{n}", n)
-        if self.peek() == "[":
-            self.expect("[")
-            self.expect("x")
-            self.expect("]")
-            self.expect("/")
-            self.expect("(")
-            coeffs = self.poly(n)
-            self.expect(")")
-            if len(coeffs) < 2 or coeffs[-1] != 1:
-                self.error(
-                    f"quotient polynomial must be monic of degree >= 1, got {_poly_text(coeffs)}"
-                )
-            return FactorSpec(n, coeffs)
-        return FactorSpec(n)
-
-    def galois_factor(self, q: int) -> FactorSpec:
-        if q < 2:
-            self.error(f"GF({q}): {q} is not a prime power")
-        p = smallest_prime_factor(q)
-        m = q
-        while m % p == 0:
-            m //= p
-        if m != 1:
-            self.error(f"GF({q}): {q} is not a prime power")
-        if q == p:
-            return FactorSpec(p)
-        if q not in IRREDUCIBLE_POLYS:
-            self.error(f"GF({q}): no irreducible polynomial on file (table covers q <= 64)")
-        p_, coeffs = IRREDUCIBLE_POLYS[q]
-        return FactorSpec(p_, coeffs)
-
-    def poly(self, n: int) -> Coeffs:
-        coeffs: dict[int, int] = {}
-        while True:
-            coef, power = self.term()
-            coeffs[power] = coeffs.get(power, 0) + coef
-            self.skip_ws()
-            if self.peek() == "+":
-                self.expect("+")
-            else:
-                break
-        degree = max((p for p, c in coeffs.items() if c % n != 0), default=0)
-        self.bound(f"Z{n}[x]/(f) with deg f = {degree}", n, degree)
-        return tuple(coeffs.get(i, 0) % n for i in range(degree + 1))
-
-    def term(self) -> tuple[int, int]:
-        self.skip_ws()
-        coef = None
-        if self.peek().isdigit():
-            coef = self.nat()
-        if self.peek() == "x":
-            self.expect("x")
-            power = 1
-            if self.peek() == "^":
-                self.expect("^")
-                power = self.nat()
-            return (1 if coef is None else coef), power
-        if coef is None:
-            self.error("expected a polynomial term")
-        return coef, 0
+# One factor and the separator after it.  Whitespace may stand between any
+# two tokens, and no two whitespace runs are adjacent, so a match takes
+# linear time.  The polynomial is split into terms, each stripped and then
+# matched with _TERM: c, x, x^e, c x or c x^e.
+_FACTOR = re.compile(
+    r"(?:GF\s*\(\s*(?P<q>\d+)\s*\)\s*"
+    r"|Z\s*(?P<n>\d+)\s*(?:\[\s*x\s*\]\s*/\s*\((?P<poly>[^()]*)\)\s*)?)"
+    r"(?:(?P<sep>[*×])\s*)?"
+)
+_TERM = re.compile(r"(?=[\dx])(?P<c>\d+)?(?:\s*(?P<x>x)(?:\s*\^\s*(?P<e>\d+))?)?")
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -250,23 +140,75 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+def _number(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise RingSpecError("number too long", pos) from None
+
+
+def _bound(factor: str, max_size: int, modulus: int, degree: int = 1):
+    """Reject a factor of modulus**degree elements above the size bound
+    before any work depends on it.  With modulus >= 2 the power passes the
+    bound by exponent max_size.bit_length(), so no larger power is computed."""
+    if modulus ** min(degree, max_size.bit_length()) > max_size:
+        raise RingSizeError(f"factor {factor} has more than {max_size} elements")
+
+
+def _factor_spec(m: re.Match, max_size: int) -> FactorSpec:
+    """The factor one _FACTOR match spells.  Numbers are bounded before any
+    arithmetic: n >= 2 before reducing mod n, and n, q or n^deg f against
+    max_size before factoring q or building the coefficient tuple."""
+    pos = m.start()
+    if m["q"] is not None:
+        q = _number(m["q"], pos)
+        _bound(f"GF({q})", max_size, q)
+        p = smallest_prime_factor(q)
+        # q >= 2 is a power of its smallest prime p iff q divides p^k, k >= log2 q
+        if q < 2 or pow(p, q.bit_length(), q):
+            raise RingSpecError(f"GF({q}): {q} is not a prime power", pos)
+        if q != p and q not in IRREDUCIBLE_POLYS:
+            raise RingSpecError(f"GF({q}): no irreducible polynomial on file (table covers q <= 64)", pos)
+        return FactorSpec(*IRREDUCIBLE_POLYS.get(q, (q, ())))
+    n = _number(m["n"], pos)
+    if n < 2:
+        raise RingSpecError(f"modulus must be >= 2, got {n}", pos)
+    _bound(f"Z{n}", max_size, n)
+    if m["poly"] is None:
+        return FactorSpec(n)
+    coeffs: dict[int, int] = {}
+    for text in m["poly"].split("+"):
+        term = _TERM.fullmatch(text.strip())
+        if not term:
+            raise RingSpecError("expected a polynomial term", pos)
+        power = _number(term["e"], pos) if term["e"] else (1 if term["x"] else 0)
+        coeffs[power] = coeffs.get(power, 0) + (_number(term["c"], pos) if term["c"] else 1)
+    degree = max((p for p, c in coeffs.items() if c % n != 0), default=0)
+    _bound(f"Z{n}[x]/(f) with deg f = {degree}", max_size, n, degree)
+    poly = tuple(coeffs.get(i, 0) % n for i in range(degree + 1))
+    if len(poly) < 2 or poly[-1] != 1:
+        raise RingSpecError(f"quotient polynomial must be monic of degree >= 1, got {_poly_text(poly)}", pos)
+    return FactorSpec(n, poly)
+
+
 def parse_ring_spec(text: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingSpec:
     """Parse spec text like "Z4 * Z2" or "Z3[x]/(x^2) * GF(4)".
 
     Raises RingSizeError as soon as one factor would have more than
     max_size elements, before factoring its size or building its polynomial.
+    A RingSpecError's position is the start of the factor or separator that
+    failed.
     """
-    p = _Parser(text, max_size)
-    factors = [p.factor()]
-    while True:
-        p.skip_ws()
-        if p.pos >= len(text):
-            break
-        if p.peek() in ("*", "×"):
-            p.pos += 1
-            factors.append(p.factor())
-        else:
-            p.error("expected '*' or '×' between factors")
+    factors, sep = [], True
+    pos = len(text) - len(text.lstrip())
+    while sep:
+        m = _FACTOR.match(text, pos)
+        if not m:
+            raise RingSpecError("expected a factor ('Z<n>', 'Z<n>[x]/(f)' or 'GF(q)')", pos)
+        factors.append(_factor_spec(m, max_size))
+        pos, sep = m.end(), m["sep"]
+    if pos < len(text):
+        raise RingSpecError("expected '*' or '×' between factors", pos)
     return RingSpec(tuple(factors))
 
 
@@ -305,9 +247,9 @@ class FiniteRing:
 
     def __init__(self, spec: RingSpec, max_size: int = DEFAULT_MAX_RING_SIZE):
         if spec.size > max_size:
-            raise RingSizeError(
-                f"ring has {spec.size} elements, exceeding the bound {max_size}"
-            )
+            # not the size itself: a product of thousands of factors has more
+            # digits than str() converts
+            raise RingSizeError(f"ring has more than {max_size} elements")
         self.spec = spec
         self.size = spec.size
         self.characteristic = lcm(*(f.modulus for f in spec.factors))
@@ -316,15 +258,18 @@ class FiniteRing:
             tuple(itertools.product(range(f.modulus), repeat=f.degree))
             for f in spec.factors
         )
-        self.elements: tuple[Element, ...] = tuple(
-            itertools.product(*self.factor_elements)
-        )
         self.zero: Element = tuple((0,) * f.degree for f in spec.factors)
         self.one: Element = tuple((1,) + (0,) * (f.degree - 1) for f in spec.factors)
         self._idempotents: frozenset[Element] | None = None
 
     def __repr__(self):
         return f"FiniteRing({format_ring_spec(self.spec)!r})"
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """Every element in enumeration order, built on first read: only
+        labels and the tests need the whole-ring tuples."""
+        return tuple(itertools.product(*self.factor_elements))
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple(

@@ -59,18 +59,18 @@ class SweepConfig:
 
 
 def enumerate_sweep_specs(config: SweepConfig) -> list[str]:
-    """Canonical spec texts: each catalog ring alone, plus every factor
-    multiset with 2..max_factors factors and product size within bound."""
+    """Canonical spec texts: every multiset of 1..max_factors catalog rings
+    whose product size is within bound."""
     canon = {}
     for entry in config.catalog:
         spec = parse_ring_spec(entry)
         canon[format_ring_spec(spec)] = spec.size
     singles = sorted(canon)
-    specs = list(singles)
     # Multisets as non-decreasing index tuples with their product size, grown
     # one factor at a time; one whose product exceeds the bound is dropped
     # at once, so the walk never extends a multiset it does not return.
     grown = [((i,), canon[s]) for i, s in enumerate(singles) if canon[s] <= config.max_ring_size]
+    specs = [singles[i] for (i,), _ in grown]
     for _ in range(config.max_factors - 1):
         grown = [
             (combo + (j,), size * canon[singles[j]])
@@ -94,6 +94,8 @@ def run_sweep(config: SweepConfig) -> dict:
     """Cross-validate every sweep ring; returns a deterministic summary."""
     config.validate()
     specs = enumerate_sweep_specs(config)
+    if not specs:
+        raise ValueError(f"no catalog ring has at most {config.max_ring_size} elements")
     jobs = [(s, config.max_ring_size) for s in specs]
     # The pool starts every worker at once, so never ask for more than
     # there are CPUs or rings.

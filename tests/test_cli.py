@@ -61,7 +61,7 @@ class TestSweepEnumeration:
             SweepConfig(max_ring_size=64, max_factors=2),
             SweepConfig(max_ring_size=256, max_factors=6),
             SweepConfig(max_ring_size=512, max_factors=4),
-            # GF(4) is spelled twice; GF(9) alone is above the bound but kept
+            # GF(4) is spelled twice; GF(9) alone is above the bound and dropped
             SweepConfig(max_ring_size=8, catalog=("GF(9)", "Z2", "GF(4)", "Z2[x]/(x^2 + x + 1)")),
         ],
     )
@@ -90,14 +90,13 @@ def eval_size(spec_text):
 
 def every_multiset_then_filter(config):
     """The reference walk: every k-multiset of the canonical catalog for
-    each k, kept when its product is within bound, plus every single."""
+    each k, kept when its product is within bound."""
     from idemgraph.rings import format_ring_spec, parse_ring_spec
 
     size = {format_ring_spec(s): s.size for s in map(parse_ring_spec, config.catalog)}
-    singles = sorted(size)
-    specs = set(singles)
-    for k in range(2, config.max_factors + 1):
-        for combo in itertools.combinations_with_replacement(singles, k):
+    specs = set()
+    for k in range(1, config.max_factors + 1):
+        for combo in itertools.combinations_with_replacement(sorted(size), k):
             if math.prod(size[c] for c in combo) <= config.max_ring_size:
                 specs.add(" * ".join(combo))
     return sorted(specs)
@@ -352,6 +351,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mismatches         0" in out
 
+    @pytest.mark.parametrize("max_size,rings", [(4, 6), (8, 16)])
+    def test_verify_small_bounds_drop_the_larger_singles(self, max_size, rings, capsys):
+        assert main(["verify", "--max-size", str(max_size)]) == 0
+        assert f"rings checked      {rings} " in capsys.readouterr().out
+
+    def test_verify_catalog_entry_above_the_bound_dropped(self, tmp_path, capsys):
+        path = tmp_path / "catalog.txt"
+        path.write_text("Z2\nGF(9)\n")
+        assert main(["verify", "--catalog", str(path), "--max-size", "8"]) == 0
+        assert "rings checked      3 (2 products)" in capsys.readouterr().out
+
+    def test_verify_empty_sweep_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "catalog.txt"
+        path.write_text("# nothing but comments\n\n")
+        assert main(["verify", "--catalog", str(path)]) == 1
+        assert main(["verify", "--max-size", "1"]) == 1
+        assert "rings checked" not in capsys.readouterr().out
+
     def test_verify_json_deterministic(self, capsys):
         assert main(["verify", "--max-size", "16", "--json"]) == 0
         first = capsys.readouterr().out
@@ -401,7 +418,8 @@ class TestCli:
 
 class TestNoTupleArithmetic:
     """The program path reads a ring factor by factor: FiniteRing arithmetic
-    is for the tests, and element labels are built for --labels only."""
+    and the whole-ring element tuples are for the tests, and element labels
+    are built for --labels only."""
 
     @pytest.fixture(autouse=True)
     def forbid_tuple_arithmetic(self, monkeypatch):
@@ -410,6 +428,7 @@ class TestNoTupleArithmetic:
 
         for name in ("add", "neg", "mul", "label"):
             monkeypatch.setattr(FiniteRing, name, forbidden)
+        monkeypatch.setattr(FiniteRing, "elements", property(forbidden))
 
     @pytest.mark.parametrize("spec", ["Z3[x]/(x^2) * Z2", "GF(4) * Z4", "Z6", "Z2 * Z3 * Z4"])
     def test_cross_validate(self, spec):

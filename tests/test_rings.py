@@ -106,7 +106,7 @@ class TestParsing:
         assert parse_ring_spec("Z4 × Z2") == parse_ring_spec("Z4 * Z2")
 
     def test_modulus_below_two_rejected(self):
-        for bad in ("Z0", "Z1", "Z1 * Z2"):
+        for bad in ("Z0", "Z1", "Z1 * Z2", "Z0[x]/(x + 1)"):
             with pytest.raises(RingSpecError):
                 parse_ring_spec(bad)
 
@@ -125,6 +125,11 @@ class TestParsing:
         with pytest.raises(RingSpecError) as exc:
             parse_ring_spec("Z4 *")
         assert exc.value.position is not None
+        # the start of the failing third factor
+        for text, position in (("Z2 * Z3 * Q5", 10), ("Z2 * Z3 *   Z4[x]/(x^2 + y)", 12)):
+            with pytest.raises(RingSpecError) as exc:
+                parse_ring_spec(text)
+            assert exc.value.position == position
 
     def test_gf_desugars_to_quotient(self):
         spec = parse_ring_spec("GF(4)")
@@ -140,6 +145,10 @@ class TestParsing:
     @given(st.one_of(_spec_text, st.text()))
     @example("Z" + "9" * 5000)
     @example("Z2[x]/(x^1000000000000 + 1) * GF(1000000000000000000000000000000)")
+    @example(" " * 200_000 + "junk")
+    @example("Z2[x]/(" + " " * 200_000)
+    @example("Z2[x]/(" + " + ".join(["x^2", "x"] * 50_000) + ")")
+    @example(" * ".join(["Z2"] * 50_000))
     def test_any_text_returns_or_is_rejected_fast(self, text):
         for call in (parse_ring_spec, build_ring):
             with time_budget(1.0):
@@ -150,6 +159,10 @@ class TestParsing:
 
     def test_whitespace_insensitive(self):
         assert parse_ring_spec(" Z3[x] / ( x^2 ) *Z2 ") == parse_ring_spec("Z3[x]/(x^2) * Z2")
+        assert parse_ring_spec("Z 4") == parse_ring_spec("Z4")
+        assert parse_ring_spec("GF (4)") == parse_ring_spec("GF(4)")
+        assert parse_ring_spec("Z3 [ x ] / ( x ^ 2 + 2 x + 2 )") == parse_ring_spec("GF(9)")
+        assert parse_ring_spec("Z4×Z2") == parse_ring_spec("Z4 * Z2")
 
     @pytest.mark.parametrize(
         "text",

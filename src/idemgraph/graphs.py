@@ -18,6 +18,8 @@ class Graph:
     def __init__(self, n: int, rows: list[int]):
         self.n = n
         self.rows = tuple(rows)
+        if len(self.rows) != n:
+            raise ValueError(f"{len(self.rows)} rows for {n} vertices")
         # Symmetry: every bit above the diagonal is mirrored below it, and
         # there are as many bits below as above, so nothing else is below.
         above = 0
@@ -61,6 +63,8 @@ class Graph:
 def graph_from_edges(n: int, edges) -> Graph:
     rows = [0] * n
     for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) has an endpoint outside [0, {n})")
         if i == j:
             raise ValueError(f"loop at vertex {i}")
         rows[i] |= 1 << j
@@ -178,9 +182,9 @@ def component_census(g: Graph) -> list[tuple[int, str]]:
 def is_path_graph(g: Graph) -> bool:
     return (
         g.n >= 1
-        and is_connected(g)
         and g.edge_count() == g.n - 1
-        and max((g.degree(v) for v in range(g.n)), default=0) <= 2
+        and max(r.bit_count() for r in g.rows) <= 2
+        and is_connected(g)
     )
 
 

@@ -10,7 +10,7 @@ the decision procedures in `recognizers`.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_
 
 from .graphs import Graph, cycle_graph, path_graph, two_k2
@@ -23,51 +23,63 @@ class OracleSizeError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
+def _match_plan(prows: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    # Match the most constrained pattern vertex first: the one with the
+    # most edges to the vertices already placed, then the highest degree.
+    # Step i is (degree, bitmask over the steps j < i it is adjacent to).
+    k = len(prows)
+    order: list[int] = []
+    placed = 0
+    for _ in range(k):
+        best = max(
+            (u for u in range(k) if not (placed >> u) & 1),
+            key=lambda u: ((prows[u] & placed).bit_count(), prows[u].bit_count()),
+        )
+        order.append(best)
+        placed |= 1 << best
+    return tuple(
+        (prows[u].bit_count(), sum(1 << j for j in range(i) if (prows[u] >> order[j]) & 1))
+        for i, u in enumerate(order)
+    )
+
+
 def find_induced(g: Graph, pattern: Graph) -> frozenset[int] | None:
     """A vertex set inducing a subgraph isomorphic to the pattern, or None.
 
     Exhaustive backtracking; pattern vertices are matched most-constrained
-    first and candidates pruned by degree and exact adjacency to the
-    already-matched vertices (induced, so non-edges must match too).
+    first (the order is computed once per pattern) and candidates pruned by
+    degree and exact adjacency to the already-matched vertices (induced, so
+    non-edges must match too).
     """
     k = pattern.n
     if k > MAX_PATTERN_VERTICES:
         raise OracleSizeError(f"pattern has {k} > {MAX_PATTERN_VERTICES} vertices")
     if k > g.n:
         return None
-    order: list[int] = []
-    placed = 0
-    for _ in range(k):
-        best = max(
-            (u for u in range(k) if not (placed >> u) & 1),
-            key=lambda u: ((pattern.rows[u] & placed).bit_count(), pattern.degree(u)),
-        )
-        order.append(best)
-        placed |= 1 << best
+    plan = _match_plan(pattern.rows)
+    rows = g.rows
     full = (1 << g.n) - 1
-    pdeg = [pattern.degree(u) for u in range(k)]
-    assign: dict[int, int] = {}
+    matched: list[int] = []
 
     def rec(step: int, used: int) -> frozenset[int] | None:
         if step == k:
-            return frozenset(assign.values())
-        u = order[step]
+            return frozenset(matched)
+        deg, adj = plan[step]
         cand = full & ~used
-        for pu, gv in assign.items():
-            if (pattern.rows[u] >> pu) & 1:
-                cand &= g.rows[gv]
-            else:
-                cand &= ~g.rows[gv]
+        for j, gv in enumerate(matched):
+            cand &= rows[gv] if (adj >> j) & 1 else ~rows[gv]
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if g.degree(v) < pdeg[u]:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if rows[v].bit_count() < deg:
                 continue
-            assign[u] = v
-            hit = rec(step + 1, used | (1 << v))
+            matched.append(v)
+            hit = rec(step + 1, used | low)
             if hit is not None:
                 return hit
-            del assign[u]
+            matched.pop()
         return None
 
     return rec(0, 0)
@@ -100,35 +112,45 @@ def cograph_oracle(g: Graph) -> frozenset[int] | None:
 
 # --- minor search ---------------------------------------------------------
 
-def _contract(rows: dict[int, int], u: int, v: int) -> None:
+def _contract(rows: dict[int, int], u: int, v: int) -> int:
     # Merge block v into block u (u < v, so u stays the representative).
+    # Returns the blocks whose row changed: u and v's other neighbours.
     bu, bv = 1 << u, 1 << v
     rv = rows.pop(v)
     rows[u] = (rows[u] | rv) & ~(bu | bv)
-    rest = rv & ~bu
+    rest = changed = rv & ~bu
     while rest:
         low = rest & -rest
         w = low.bit_length() - 1
         rows[w] = rows[w] & ~bv | bu
         rest ^= low
+    return changed | bu
 
 
-def _simplify(rows: dict[int, int], suppress_deg2: bool):
-    changed = True
-    while changed:
-        changed = False
-        for v in list(rows):
-            r = rows.get(v)
-            if r is None or r.bit_count() > 1 + suppress_deg2:
-                continue
-            changed = True
-            if r.bit_count() == 2:  # contract v into its lower neighbour
-                a = (r & -r).bit_length() - 1
-                _contract(rows, min(a, v), max(a, v))
-            else:
-                del rows[v]
-                if r:
-                    rows[r.bit_length() - 1] &= ~(1 << v)
+def _simplify(rows: dict[int, int], suppress_deg2: bool, work: int) -> None:
+    # Delete vertices of degree <= 1 and contract each vertex of degree 2
+    # into its lower neighbour, or, unless suppression is allowed, only into
+    # a neighbour that also has degree 2.  Only a block whose row changed
+    # can newly qualify, so `work` holds those blocks and grows as it goes.
+    while work:
+        low = work & -work
+        work ^= low
+        v = low.bit_length() - 1
+        r = rows.get(v)
+        if r is None or r.bit_count() > 2:
+            continue
+        if r.bit_count() == 2:
+            a = (r & -r).bit_length() - 1
+            if not suppress_deg2 and rows[a].bit_count() != 2:
+                a = r.bit_length() - 1
+                if rows[a].bit_count() != 2:
+                    continue
+            work |= _contract(rows, min(a, v), max(a, v))
+        else:
+            del rows[v]
+            if r:
+                rows[r.bit_length() - 1] &= ~low
+                work |= r
 
 
 def _has_clique(rows: dict[int, int], k: int) -> bool:
@@ -158,57 +180,82 @@ _TARGETS = {
     "K5": (5, 10, lambda rows: _has_clique(rows, 5), True),
     "K33": (6, 9, lambda rows: _has_complete_bipartite(rows, 3, 3), True),
     "K4": (4, 6, lambda rows: _has_clique(rows, 4), True),
-    # K_{2,3} has degree-2 branch vertices, so suppressing degree-2
-    # vertices is not minor-safe for it; only degree <= 1 deletion is.
+    # K_{2,3} has degree-2 branch vertices, so suppressing a degree-2
+    # vertex is not minor-safe for it.  Its maximum degree is 3, so a K_{2,3}
+    # minor is a subgraph made of two vertices and three disjoint paths of
+    # length >= 2 between them.  A degree-2 vertex can lie on it only inside
+    # a path, with both its edges, so two adjacent degree-2 vertices are
+    # both off it or both inside one path of length >= 3.  Contracting the
+    # edge between them is therefore safe: it shortens that path.
     "K23": (5, 6, lambda rows: _has_complete_bipartite(rows, 2, 3), False),
 }
 
 
-def has_minor(g: Graph, target: str) -> bool:
-    """Exhaustive search for a named minor (K5, K33, K4 or K23).
+def has_minor(g: Graph, *targets: str) -> bool:
+    """Exhaustive search for any of the named minors (K5, K33, K4, K23).
 
     Contraction recursion: a graph has H as a minor iff H is a subgraph of
     some graph reachable by edge contractions.  A state maps each block of
     contracted vertices, named by its least original vertex, to its bitset
     row over those names.  A state seen before was checked and failed, so
-    each reachable contracted graph is checked and expanded once.
+    each reachable contracted graph is checked and expanded once.  One
+    search serves every target: each state is checked for each target it is
+    large enough for, a state or child is pruned only when it is too small
+    for all of them, and degree-2 vertices are suppressed only when every
+    target allows it.
     """
-    need_v, need_e, check, deg2_ok = _TARGETS[target]
+    specs = [_TARGETS[t] for t in targets]
+    need_v = min(s[0] for s in specs)
+    need_e = min(s[1] for s in specs)
+    deg2_ok = all(s[3] for s in specs)
     memo: set[frozenset[tuple[int, int]]] = set()
 
-    def rec(rows: dict[int, int]) -> bool:
-        _simplify(rows, deg2_ok)
-        if len(rows) < need_v or sum(r.bit_count() for r in rows.values()) < 2 * need_e:
+    def rec(rows: dict[int, int], work: int) -> bool:
+        _simplify(rows, deg2_ok, work)
+        nv = len(rows)
+        ne = sum(map(int.bit_count, rows.values())) // 2
+        if nv < need_v or ne < need_e:
             return False
         key = frozenset(rows.items())
         if key in memo:
             return False
-        if check(rows):
+        if any(tv <= nv and te <= ne and check(rows) for tv, te, check, _ in specs):
             return True
         memo.add(key)
+        if nv == need_v:  # every contraction leaves too few vertices
+            return False
         for u, r in rows.items():
             higher = r >> u + 1
             while higher:
                 low = higher & -higher
                 higher ^= low
+                v = u + low.bit_length()
+                # Contracting uv loses the edge uv and one edge per common
+                # neighbour; simplification only loses more.
+                if ne - 1 - (r & rows[v]).bit_count() < need_e:
+                    continue
                 nrows = dict(rows)
-                _contract(nrows, u, u + low.bit_length())
-                if rec(nrows):
+                if rec(nrows, _contract(nrows, u, v)):
                     return True
         return False
 
-    return rec(dict(enumerate(g.rows)))
+    return rec(dict(enumerate(g.rows)), (1 << g.n) - 1)
 
 
 def kuratowski_oracle(g: Graph) -> bool:
     """True iff the graph has no K_5 and no K_{3,3} minor (so, planar)."""
     if g.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"{g.n} vertices exceeds the oracle bound {MAX_ORACLE_VERTICES}")
-    return not has_minor(g, "K5") and not has_minor(g, "K33")
+    return not has_minor(g, "K5", "K33")
 
 
 def outerplanar_oracle(g: Graph) -> bool:
-    """True iff the graph has no K_4 and no K_{2,3} minor (so, outerplanar)."""
+    """True iff the graph has no K_4 and no K_{2,3} minor (so, outerplanar).
+
+    Two searches, not one: K_{2,3} forbids degree-2 suppression, and a
+    combined search without it walks far more states (the 12-vertex wheel
+    takes hundreds of times longer), while the K_4 search keeps it.
+    """
     if g.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"{g.n} vertices exceeds the oracle bound {MAX_ORACLE_VERTICES}")
     return not has_minor(g, "K4") and not has_minor(g, "K23")

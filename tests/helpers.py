@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from hypothesis import strategies as st
 
 from idemgraph.graphs import Graph, graph_from_edges, masked_components, set_bits
-from idemgraph.oracles import MAX_PATTERN_VERTICES, OracleSizeError
+from idemgraph.oracles import _TARGETS, MAX_PATTERN_VERTICES, OracleSizeError
 
 
 class Overtime(Exception):
@@ -98,3 +98,72 @@ def isomorphic_small(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def reference_has_minor(g: Graph, target: str) -> bool:
+    """A plain single-target contraction search, the reference for
+    `oracles.has_minor`: one target, every child copied before it is
+    pruned, degree-2 vertices suppressed for K5, K33 and K4 only, and each
+    simplification rescanning every block until nothing changes.  The
+    subgraph checks and size needs are the module's own."""
+    need_v, need_e, check, deg2_ok = _TARGETS[target]
+    memo = set()
+
+    def contract(rows, u, v):
+        bu, bv = 1 << u, 1 << v
+        rv = rows.pop(v)
+        rows[u] = (rows[u] | rv) & ~(bu | bv)
+        for w in set_bits(rv & ~bu):
+            rows[w] = rows[w] & ~bv | bu
+
+    def simplify(rows):
+        changed = True
+        while changed:
+            changed = False
+            for v in list(rows):
+                r = rows.get(v)
+                if r is None or r.bit_count() > 1 + deg2_ok:
+                    continue
+                changed = True
+                if r.bit_count() == 2:
+                    a = (r & -r).bit_length() - 1
+                    contract(rows, min(a, v), max(a, v))
+                else:
+                    del rows[v]
+                    if r:
+                        rows[r.bit_length() - 1] &= ~(1 << v)
+
+    def rec(rows):
+        simplify(rows)
+        if len(rows) < need_v or sum(r.bit_count() for r in rows.values()) < 2 * need_e:
+            return False
+        key = frozenset(rows.items())
+        if key in memo:
+            return False
+        if check(rows):
+            return True
+        memo.add(key)
+        for u, r in list(rows.items()):
+            for v in set_bits(r >> u + 1):
+                nrows = dict(rows)
+                contract(nrows, u, u + 1 + v)
+                if rec(nrows):
+                    return True
+        return False
+
+    return rec(dict(enumerate(g.rows)))
+
+
+def has_induced_copy(g: Graph, pattern: Graph) -> bool:
+    """Whether some vertex set of g induces a copy of the pattern, by
+    comparing each k-subset's induced edges with every relabeling."""
+    k = pattern.n
+    pairs = list(itertools.combinations(range(k), 2))
+    copies = {
+        frozenset(p for p in pairs if pattern.has_edge(perm[p[0]], perm[p[1]]))
+        for perm in itertools.permutations(range(k))
+    }
+    return any(
+        frozenset(p for p in pairs if g.has_edge(vs[p[0]], vs[p[1]])) in copies
+        for vs in itertools.combinations(range(g.n), k)
+    )

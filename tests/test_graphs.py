@@ -34,6 +34,16 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, [0b00, 0b01])
 
+    @pytest.mark.parametrize("n, rows", [(3, [0, 0]), (2, [0, 0, 0]), (1, [])])
+    def test_rejects_a_row_count_other_than_n(self, n, rows):
+        with pytest.raises(ValueError, match="rows for"):
+            Graph(n, rows)
+
+    @pytest.mark.parametrize("edge", [(0, 5), (0, -1), (3, 1), (-2, 0)])
+    def test_rejects_an_endpoint_outside_the_vertices(self, edge):
+        with pytest.raises(ValueError, match="outside"):
+            graph_from_edges(3, [edge])
+
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_n=8), st.data())
     def test_rejects_any_one_directed_bit_cleared(self, g, data):
@@ -152,6 +162,11 @@ class TestCensus:
 
     def test_triangle_counts_as_complete(self):
         assert census_set(cycle_graph(3)) == [(3, "complete")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=7))
+    def test_path_graph_iff_one_path_component(self, g):
+        assert is_path_graph(g) == (component_census(g) == [(g.n, "path")])
 
 
 class TestExport:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -29,10 +30,40 @@ from idemgraph.selftest import random_graph
 from helpers import (
     complete_bipartite_graph,
     complete_graph,
+    has_induced_copy,
     induced_subgraph,
     isomorphic_small,
+    reference_has_minor,
     relabel,
+    time_budget,
 )
+
+TARGETS = ("K5", "K33", "K4", "K23")
+PATTERNS = (path_graph(4), cycle_graph(4), two_k2(), cycle_graph(5))
+
+
+@pytest.fixture(scope="module")
+def criterion_9_graphs():
+    # The 500 random 12-vertex graphs of acceptance criterion 9, in order.
+    rng = random.Random(0)
+    return [random_graph(12, rng) for _ in range(500)]
+
+
+def assert_minor_search_matches_reference(g):
+    for pair in (("K5", "K33"), ("K4", "K23")):
+        expected = any(reference_has_minor(g, t) for t in pair)
+        assert has_minor(g, *pair) == expected, (pair, sorted(g.edges()))
+    for target in TARGETS:
+        assert has_minor(g, target) == reference_has_minor(g, target), (target, sorted(g.edges()))
+
+
+def assert_induced_search_matches_reference(g):
+    for pattern in PATTERNS:
+        hit = find_induced(g, pattern)
+        if hit is None:
+            assert not has_induced_copy(g, pattern), sorted(g.edges())
+        else:
+            assert isomorphic_small(induced_subgraph(g, hit), pattern), sorted(g.edges())
 
 
 class TestFindInduced:
@@ -62,6 +93,17 @@ class TestFindInduced:
     def test_p4_absent_from_cograph(self):
         g = complete_bipartite_graph(3, 3)
         assert find_induced(g, path_graph(4)) is None
+
+
+class TestFindInducedAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=9), st.randoms(use_true_random=False))
+    def test_small_graphs(self, n, rnd):
+        assert_induced_search_matches_reference(random_graph(n, rnd))
+
+    def test_criterion_9_graphs(self, criterion_9_graphs):
+        for g in criterion_9_graphs:
+            assert_induced_search_matches_reference(g)
 
 
 class TestForbiddenPatternOracles:
@@ -125,6 +167,23 @@ class TestMinorSearch:
         fan = graph_from_edges(6, [(i, i + 1) for i in range(5)] + [(0, i) for i in range(2, 6)])
         assert outerplanar_oracle(fan)
 
+    @pytest.mark.parametrize(
+        "lengths, k23",
+        [((2, 2, 2), True), ((3, 4, 5), True), ((2, 2, 8), True), ((1, 4, 4), False), ((1, 2, 6), False)],
+    )
+    def test_theta_graphs(self, lengths, k23):
+        # Two vertices joined by three disjoint paths have a K_{2,3} minor
+        # iff every path has an inner vertex.  Long paths are chains of
+        # adjacent degree-2 vertices, which the K_{2,3} search contracts.
+        edges, n = [], 2
+        for length in lengths:
+            path = [0, *range(n, n + length - 1), 1]
+            n += length - 1
+            edges += zip(path, path[1:])
+        g = graph_from_edges(n, edges)
+        assert has_minor(g, "K23") == k23
+        assert outerplanar_oracle(g) == (not k23)
+
     def test_size_guard(self):
         with pytest.raises(OracleSizeError):
             kuratowski_oracle(complete_graph(13))
@@ -132,7 +191,38 @@ class TestMinorSearch:
             outerplanar_oracle(complete_graph(13))
 
 
+class TestMinorSearchAgainstReference:
+    # The combined search, the child prune and the worklist simplification
+    # against the plain single-target search, target by target.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=9), st.randoms(use_true_random=False))
+    def test_small_graphs(self, n, rnd):
+        assert_minor_search_matches_reference(random_graph(n, rnd))
+
+    def test_criterion_9_graphs(self, criterion_9_graphs):
+        for g in criterion_9_graphs:
+            assert_minor_search_matches_reference(g)
+
+    def test_wheel_is_not_outerplanar_within_a_quarter_second(self):
+        # The 12-vertex wheel W12 has a K_4 minor.  The K_4 search, which
+        # suppresses degree-2 vertices, finds it in about a millisecond; a
+        # single search for K_4 or K_{2,3}, which may not, takes about half
+        # a second.
+        rim = [(i, i % 11 + 1) for i in range(1, 12)]
+        wheel = graph_from_edges(12, rim + [(0, i) for i in range(1, 12)])
+        with time_budget(0.25):
+            assert not outerplanar_oracle(wheel)
+
+
 class TestMinorSearchAgainstNetworkx:
+    def test_criterion_9_graphs(self, criterion_9_graphs):
+        for g in criterion_9_graphs:
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(g.n))
+            assert kuratowski_oracle(g) == nx.check_planarity(h)[0], sorted(g.edges())
+            h.add_edges_from((g.n, v) for v in range(g.n))
+            assert outerplanar_oracle(g) == nx.check_planarity(h)[0], sorted(g.edges())
+
     def test_every_seven_vertex_atlas_graph(self):
         # The atlas (Read and Wilson) lists each of the 1,044 graphs on 7
         # vertices once up to isomorphism.  A graph is outerplanar iff it

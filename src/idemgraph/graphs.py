@@ -11,39 +11,56 @@ from .rings import FiniteRing, idempotents
 
 
 class Graph:
-    """Simple undirected graph; adjacency row i is a Python-int bitset."""
+    """Simple undirected graph; adjacency row i is a Python-int bitset.
 
-    __slots__ = ("n", "rows")
+    The degrees, the edge count and the components are whole-graph facts
+    that several recognizers and the report read, so each is computed once:
+    the degrees and edge count while the rows are validated, the components
+    on first use."""
+
+    __slots__ = ("n", "rows", "degrees", "_edge_count", "_components")
 
     def __init__(self, n: int, rows: list[int]):
         self.n = n
-        self.rows = tuple(rows)
-        if len(self.rows) != n:
-            raise ValueError(f"{len(self.rows)} rows for {n} vertices")
+        self.rows = rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} rows for {n} vertices")
+        self.degrees = tuple(map(int.bit_count, rows))
+        self._components = None
         # Symmetry: every bit above the diagonal is mirrored below it, and
         # there are as many bits below as above, so nothing else is below.
+        # The bits above are walked from the highest down, and each partner
+        # row is tested against bit i as it is, so a step of the walk
+        # neither negates r nor shifts the partner row.
         above = 0
-        for i, r in enumerate(self.rows):
+        for i, r in enumerate(rows):
             if r >> n:
                 raise ValueError(f"row {i} has bits beyond vertex count")
-            if r & (1 << i):
+            bit = 1 << i
+            if r & bit:
                 raise ValueError(f"loop at vertex {i}")
             r >>= i + 1
             above += r.bit_count()
             while r:
-                low = r & -r
-                j = i + low.bit_length()
-                if not (self.rows[j] >> i) & 1:
-                    raise ValueError(f"asymmetric adjacency at ({i}, {j})")
-                r ^= low
-        if 2 * above != sum(r.bit_count() for r in self.rows):
+                k = r.bit_length() - 1
+                if not rows[i + 1 + k] & bit:
+                    raise ValueError(f"asymmetric adjacency at ({i}, {i + 1 + k})")
+                r ^= 1 << k
+        if 2 * above != sum(self.degrees):
             raise ValueError("asymmetric adjacency below the diagonal")
+        self._edge_count = above
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return self.degrees[v]
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return self._edge_count
+
+    def components(self) -> tuple[int, ...]:
+        """The components as vertex bitmasks, ordered by least vertex."""
+        if self._components is None:
+            self._components = tuple(masked_components(self.rows, (1 << self.n) - 1))
+        return self._components
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
@@ -156,15 +173,16 @@ def set_bits(mask: int) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(masked_components(g.rows, (1 << g.n) - 1)) <= 1
+    return len(g.components()) <= 1
 
 
 def component_census(g: Graph) -> list[tuple[int, str]]:
     """(size, shape) of each component, ordered by least vertex; the shape
-    is path, even-cycle, odd-cycle, complete or other."""
+    is path, even-cycle, odd-cycle, complete or other.  Every neighbour of
+    a vertex lies in its component, so its degree there is its degree."""
     out = []
-    for comp in masked_components(g.rows, (1 << g.n) - 1):
-        degs = [(g.rows[v] & comp).bit_count() for v in set_bits(comp)]
+    for comp in g.components():
+        degs = [g.degrees[v] for v in set_bits(comp)]
         s = len(degs)
         m = sum(degs) // 2
         if m == s - 1 and max(degs, default=0) <= 2:
@@ -183,7 +201,7 @@ def is_path_graph(g: Graph) -> bool:
     return (
         g.n >= 1
         and g.edge_count() == g.n - 1
-        and max(r.bit_count() for r in g.rows) <= 2
+        and max(g.degrees) <= 2
         and is_connected(g)
     )
 

@@ -215,7 +215,7 @@ def is_outerplanar(g: Graph) -> bool:
         return True
     if m > 2 * g.n - 3:
         return False
-    if min(r.bit_count() for r in g.rows) >= 3:
+    if min(g.degrees) >= 3:
         return False
     # Standard reduction: outerplanar iff the graph plus an apex vertex
     # adjacent to everything is planar.
@@ -231,7 +231,7 @@ def is_split(g: Graph) -> bool:
     With d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the graph is
     split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.
     """
-    degs = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    degs = sorted(g.degrees, reverse=True)
     m = 0
     for i, d in enumerate(degs, start=1):
         if d >= i - 1:
@@ -242,43 +242,44 @@ def is_split(g: Graph) -> bool:
 
 
 def is_threshold(g: Graph) -> bool:
-    """Peel vertices that are isolated or dominating until nothing is left."""
-    alive = (1 << g.n) - 1
-    count = g.n
-    while count:
-        progress = False
-        a = alive
-        while a:
-            v = (a & -a).bit_length() - 1
-            a &= a - 1
-            d = (g.rows[v] & alive).bit_count()
-            if d == 0 or d == count - 1:
-                alive &= ~(1 << v)
-                count -= 1
-                progress = True
-                break
-        if not progress:
+    """Peel vertices that are isolated or dominating until nothing is left
+    (Hammer, Ibaraki and Simeone, "Threshold sequences", 1981).
+
+    Peeling an isolated vertex leaves every degree unchanged, and peeling a
+    dominating one lowers every other degree by 1.  So among the vertices
+    left, a vertex's degree is its degree in g minus the number of
+    dominating vertices peeled, and the degrees stay in sorted order: the
+    vertices left are degs[lo..hi], an isolated one can only be degs[lo]
+    and a dominating one only degs[hi]."""
+    degs = sorted(g.degrees)
+    lo, hi, dominating = 0, g.n - 1, 0
+    while lo <= hi:
+        if degs[lo] == dominating:
+            lo += 1
+        elif degs[hi] - dominating == hi - lo:
+            hi -= 1
+            dominating += 1
+        else:
             return False
     return True
 
 
 def is_cograph(g: Graph) -> bool:
     """Cotree decomposition: every induced subgraph on >= 2 vertices must be
-    disconnected or have a disconnected complement."""
+    disconnected or have a disconnected complement.  A component is
+    connected, so only its complement can split it, and a co-component
+    only the graph: the walk alternates, starting from g's components."""
     co_rows = [r ^ -1 for r in g.rows]
-    stack = [(1 << g.n) - 1]
+    stack = [(comp, co_rows) for comp in g.components()]
     while stack:
-        mask = stack.pop()
+        mask, rows = stack.pop()
         if mask.bit_count() < 2:
             continue
-        parts = masked_components(g.rows, mask)
+        parts = masked_components(rows, mask)
         if len(parts) == 1:
-            co_parts = masked_components(co_rows, mask)
-            if len(co_parts) == 1:
-                return False
-            stack.extend(co_parts)
-        else:
-            stack.extend(parts)
+            return False
+        rows = g.rows if rows is co_rows else co_rows
+        stack.extend((part, rows) for part in parts)
     return True
 
 

@@ -13,10 +13,13 @@ import random
 from .graphs import Graph, graph_from_edges
 from .theorems import PROPERTIES
 
-MAX_EXHAUSTIVE_N = 7
+# The 33,868 labeled graphs on at most 6 vertices took 10.5 s on a 2-CPU
+# machine with Python 3.11.  n = 7 adds 2,097,152 graphs at about 0.36 ms
+# each (a uniform sample of 5,000), about 13 minutes.
+MAX_EXHAUSTIVE_N = 6
 MAX_RANDOM_N = 12
-# About 1.5 minutes at 0.9 ms per 12-vertex graph (2,000 random graphs at
-# seed 0 took 1.8 s on a 2-CPU machine with Python 3.11).
+# About 1.3 minutes at 0.77 ms per 12-vertex graph (2,000 random graphs at
+# seed 0 took 1.54 s on the same machine).
 MAX_RANDOM_COUNT = 100_000
 
 # The properties that have a brute-force oracle to compare the recognizer with.

@@ -141,7 +141,7 @@ def verify_degree_formula(ring: FiniteRing, g: Graph) -> bool:
         flags = [tuple([2 * c % f.modulus for c in a]) in factor_ids for a in ring.factor_elements[k]]
         doubles_idempotent = [d and b for d in doubles_idempotent for b in flags]
     n = len(ids)
-    return [g.degree(v) for v in range(g.n)] == [n - 1 if d else n for d in doubles_idempotent]
+    return list(g.degrees) == [n - 1 if d else n for d in doubles_idempotent]
 
 
 def verify_component_structure(ring: FiniteRing, g: Graph) -> bool:

@@ -1,6 +1,7 @@
 """Graph constructors, oracles and tools that only the tests use."""
 
 import itertools
+import random
 import signal
 from contextlib import contextmanager
 
@@ -58,6 +59,16 @@ def graphs(draw, max_n=8):
     return graph_from_edges(n, picks)
 
 
+@st.composite
+def random_graphs(draw, max_n=40):
+    """Random graphs of up to max_n vertices, each with its own edge
+    probability, so sparse and dense graphs both show up."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    p = rnd.random()
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p])
+
+
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
     return [set_bits(c) for c in masked_components(g.rows, (1 << g.n) - 1)]
@@ -98,6 +109,25 @@ def isomorphic_small(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def reference_is_threshold(g: Graph) -> bool:
+    """The vertex-by-vertex peel, the reference for
+    `recognizers.is_threshold`: remove any vertex that is isolated or
+    dominating among the vertices left, with its degree counted on the
+    rows, until nothing is left."""
+    alive = (1 << g.n) - 1
+    count = g.n
+    while count:
+        for v in set_bits(alive):
+            d = (g.rows[v] & alive).bit_count()
+            if d == 0 or d == count - 1:
+                alive &= ~(1 << v)
+                count -= 1
+                break
+        else:
+            return False
+    return True
 
 
 def reference_has_minor(g: Graph, target: str) -> bool:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import json
 import math
@@ -184,6 +185,17 @@ Z6_JSON = """\
 }
 """
 
+# sha256 of the complete `classify --json` stdout of the four rings of the
+# classify-large benchmark (256 to 4,096 vertices), recorded at commit
+# 07e4da0, before `Graph` kept its degrees, edge count and components.  The
+# census of GF(64) * GF(64) alone lists 1,024 components.
+LARGE_REPORT_SHA256 = {
+    "Z4*Z4*Z4*Z4*Z4*Z4": "77aae91f9f5d4cd0aded2fb20648f77a9933441f0fd9488c60beb75ee39dc81a",
+    "GF(64)*GF(64)": "bbb5728282346dd3d8520e8128880d39e60597ed37d74bcb92f1e059397e173c",
+    "Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2": "ccdd6b7872e95befc87134af7d3f5442b384aa6ce19712b747126bcecdea8249",
+    "GF(16)*GF(16)*GF(16)": "56c7d67dad5d6f67c47a5d4307ecdde592ef382e475c4bfcb7469fb71f94a8ff",
+}
+
 
 class TestSweep:
     def test_small_sweep_clean(self):
@@ -270,6 +282,12 @@ class TestCli:
     def test_classify_z6_stdout_golden(self, flags, golden, capsys):
         assert main(["classify", "Z6", *flags]) == 0
         assert capsys.readouterr().out == golden
+
+    @pytest.mark.parametrize("spec", sorted(LARGE_REPORT_SHA256))
+    def test_classify_large_ring_json_pinned(self, spec, capsys):
+        assert main(["classify", spec, "--json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == LARGE_REPORT_SHA256[spec]
 
     def test_classify_parse_error_exit_1(self, capsys):
         assert main(["classify", "Z0"]) == 1
@@ -398,6 +416,7 @@ class TestCli:
         "flag,value",
         [
             ("--exhaustive-n", "-2"),
+            ("--exhaustive-n", "7"),
             ("--random-count", "-5"),
             ("--random-n", "-3"),
             ("--random-count", "1000000000"),

@@ -13,8 +13,16 @@ from idemgraph.graphs import (
     masked_components,
 )
 from idemgraph.rings import build_ring
+from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
 
-from helpers import complete_bipartite_graph, complete_graph, components, empty_graph, graphs
+from helpers import (
+    complete_bipartite_graph,
+    complete_graph,
+    components,
+    empty_graph,
+    graphs,
+    random_graphs,
+)
 
 
 def census_set(g):
@@ -59,6 +67,61 @@ class TestGraphType:
     def test_degree_sum_is_twice_edges(self):
         g = complete_bipartite_graph(2, 3)
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count()
+
+
+def assert_stored_invariants_match_rows(g):
+    assert g.degrees == tuple(r.bit_count() for r in g.rows)
+    assert [g.degree(v) for v in range(g.n)] == list(g.degrees)
+    assert g.edge_count() == sum(r.bit_count() for r in g.rows) // 2 == len(list(g.edges()))
+    assert g.components() == tuple(masked_components(g.rows, (1 << g.n) - 1))
+
+
+class TestStoredInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=40))
+    def test_random_graphs(self, g):
+        assert_stored_invariants_match_rows(g)
+
+    def test_every_default_sweep_graph(self):
+        for spec in enumerate_sweep_specs(SweepConfig()):
+            assert_stored_invariants_match_rows(build_idempotent_graph(build_ring(spec)))
+
+    def test_components_are_found_once(self):
+        g = graph_from_edges(5, [(0, 1), (3, 4)])
+        assert g.components() is g.components()
+        assert g.components() == (0b00011, 0b00100, 0b11000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=40), st.data())
+    def test_flipping_any_off_diagonal_bit_names_asymmetry(self, g, data):
+        assume(g.n >= 2)
+        i = data.draw(st.integers(0, g.n - 1))
+        j = data.draw(st.integers(0, g.n - 2))
+        assert_flip_names_asymmetry(g, i, j + (j >= i))
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(7), empty_graph(7), build_idempotent_graph(build_ring("Z4 * Z2"))],
+        ids=["K7", "empty", "Z4xZ2"],
+    )
+    def test_flipping_the_highest_upper_bit_of_any_row_names_asymmetry(self, g):
+        # the walk over a row's upper bits starts at the highest, so both
+        # the highest set bit and the highest position n - 1 are flipped
+        for i in range(g.n - 1):
+            upper = g.rows[i] >> (i + 1)
+            for j in {i + upper.bit_length(), g.n - 1} - {i}:
+                assert_flip_names_asymmetry(g, i, j)
+
+
+def assert_flip_names_asymmetry(g, i, j):
+    """Flip bit j of row i (i != j).  A bit set above the diagonal must be
+    caught at its own pair; any other flip at least by the count of the
+    bits below."""
+    rows = list(g.rows)
+    rows[i] ^= 1 << j
+    at = f"at \\({i}, {j}\\)" if j > i and rows[i] >> j & 1 else "asymmetric"
+    with pytest.raises(ValueError, match=at):
+        Graph(g.n, rows)
 
 
 class TestBuildIdempotentGraph:

@@ -34,7 +34,15 @@ from idemgraph.selftest import all_graphs
 from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
 from idemgraph.theorems import PROPERTIES
 
-from helpers import complete_bipartite_graph, complete_graph, graphs, relabel, time_budget
+from helpers import (
+    complete_bipartite_graph,
+    complete_graph,
+    graphs,
+    random_graphs,
+    reference_is_threshold,
+    relabel,
+    time_budget,
+)
 
 # The rings of the classify-large benchmark workload, 256 to 4,096 elements.
 LARGE_RINGS = (" * ".join(["Z4"] * 6), "GF(64) * GF(64)", " * ".join(["Z2"] * 8), "GF(16) * GF(16) * GF(16)")
@@ -186,6 +194,40 @@ def test_random_graphs_agree_with_oracles(g):
     assert is_split(g) == (split_oracle(g) is None)
     assert is_threshold(g) == (threshold_oracle(g) is None)
     assert is_cograph(g) == (cograph_oracle(g) is None)
+
+
+@st.composite
+def near_threshold_graphs(draw, max_n=40):
+    """A threshold graph (each new vertex isolated or dominating), vertices
+    shuffled, then up to two vertex pairs toggled."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    edges = {(u, v) for v in range(n) if rnd.random() < 0.5 for u in range(v)}
+    for _ in range(draw(st.integers(0, 2)) if n >= 2 else 0):
+        edges ^= {tuple(sorted(rnd.sample(range(n), 2)))}
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestThresholdAgainstThePeel:
+    """The degree-sequence peel against the vertex-by-vertex peel of
+    `tests/helpers.py`, beyond the 12 vertices the oracles reach."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_threshold_graphs())
+    def test_near_threshold_graphs(self, g):
+        assert is_threshold(g) == reference_is_threshold(g), sorted(g.edges())
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=40))
+    def test_random_graphs(self, g):
+        assert is_threshold(g) == reference_is_threshold(g), sorted(g.edges())
+
+    def test_every_default_sweep_ring(self):
+        for spec in enumerate_sweep_specs(SweepConfig()):
+            g = ring_graph(spec)
+            assert is_threshold(g) == reference_is_threshold(g), spec
 
 
 def networkx_verdicts(g):

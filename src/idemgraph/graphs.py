@@ -50,9 +50,6 @@ class Graph:
             raise ValueError("asymmetric adjacency below the diagonal")
         self._edge_count = above
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def edge_count(self) -> int:
         return self._edge_count
 
@@ -61,9 +58,6 @@ class Graph:
         if self._components is None:
             self._components = tuple(masked_components(self.rows, (1 << self.n) - 1))
         return self._components
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
 
     def edges(self):
         for i, ri in enumerate(self.rows):
@@ -118,16 +112,15 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     shifted by (e_1 - a) times the size of the remaining product, OR-ed
     over e_1, with e_1 - a computed digit by digit.
     """
-    ids = idempotents(ring)
+    idempotents(ring)  # keeps ring.factor_idempotents
     rows = [1]  # the product of no factors: one element, adjacent to itself
     for k in range(len(ring.spec.factors) - 1, -1, -1):
         m = ring.spec.factors[k].modulus
-        factor_ids = {e[k] for e in ids}
         width = len(rows)
         wider = []
         for a in ring.factor_elements[k]:
             shifts = []
-            for e in factor_ids:
+            for e in ring.factor_idempotents[k]:
                 j = 0
                 for ec, ac in zip(e, a):
                     j = j * m + (ec - ac) % m

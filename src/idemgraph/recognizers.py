@@ -12,7 +12,8 @@ not decide goes to the path-addition test of Demoucron, Malgrange and
 Pertuiset (1964): embed a cycle, then add paths through the fragments of the
 graph left over, each into a face whose boundary holds all the fragment's
 attachment vertices.  The faces it keeps are a planar embedding of the block.
-Outerplanarity is planarity of the graph plus an apex vertex.
+Outerplanarity is planarity of each block plus an apex vertex joined to all
+of it, by the same counts and path addition.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ def is_planar(g: Graph) -> bool:
     known = _planar_by_counts(g.n, g.edge_count())
     if known is not None:
         return known
-    for block in _biconnected_blocks(g):
-        verts = 0
-        for u, v in block:
-            verts |= 1 << u | 1 << v
-        known = _planar_by_counts(verts.bit_count(), len(block))
+    for verts, m in _blocks(g):
+        known = _planar_by_counts(verts.bit_count(), m)
         if known is None:
             known = _planar_block(g.rows, verts)
         if not known:
@@ -207,22 +205,24 @@ def _mask(verts) -> int:
 
 
 def is_outerplanar(g: Graph) -> bool:
-    # K4 and K2,3 need 6 edges.  An outerplanar graph on n >= 2 vertices
-    # has at most 2n - 3 edges, and one on n >= 1 vertices has a vertex of
-    # degree at most 2.
-    m = g.edge_count()
-    if g.n <= 3 or m <= 5:
-        return True
-    if m > 2 * g.n - 3:
-        return False
-    if min(g.degrees) >= 3:
-        return False
-    # Standard reduction: outerplanar iff the graph plus an apex vertex
-    # adjacent to everything is planar.
-    full = (1 << g.n) - 1
-    rows = [r | (1 << g.n) for r in g.rows]
-    rows.append(full)
-    return is_planar(Graph(g.n + 1, rows))
+    """Each block plus an apex vertex joined to all of it is planar.  With
+    k vertices and m edges, a graph or block plus the apex has k + 1 and
+    m + k, so the counts pass k <= 3 and reject m > 2k - 3; the apex rows are
+    built for the first block they leave open."""
+    known = _planar_by_counts(g.n + 1, g.edge_count() + g.n)
+    if known is not None:
+        return known
+    apex_rows = None
+    for verts, m in _blocks(g):
+        k = verts.bit_count()
+        known = _planar_by_counts(k + 1, m + k)
+        if known is None:
+            if apex_rows is None:
+                apex_rows = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1]
+            known = _planar_block(apex_rows, verts | 1 << g.n)
+        if not known:
+            return False
+    return True
 
 
 def is_split(g: Graph) -> bool:
@@ -284,59 +284,60 @@ def is_cograph(g: Graph) -> bool:
 
 
 def is_cactus(g: Graph) -> bool:
-    """Connected and every biconnected block is a single edge or a cycle
-    (equivalently: no edge lies on two simple cycles).  A cactus has at
-    most 3(n - 1)/2 edges, so denser graphs are rejected without a search."""
+    """Connected, and every biconnected block has no more edges than
+    vertices: it is a single edge or a cycle, so no edge lies on two simple
+    cycles.  A cactus has at most 3(n - 1)/2 edges, so denser graphs are
+    rejected without a search."""
     if g.n == 0 or 2 * g.edge_count() > 3 * (g.n - 1) or not is_connected(g):
         return False
-    for block_edges in _biconnected_blocks(g):
-        verts = {v for e in block_edges for v in e}
-        if len(block_edges) > len(verts):
-            return False
-    return True
+    return all(m <= verts.bit_count() for verts, m in _blocks(g))
 
 
-def _biconnected_blocks(g: Graph):
-    """Edge sets of the biconnected blocks (iterative Hopcroft-Tarjan)."""
-    disc = [0] * g.n
+def _blocks(g: Graph):
+    """Each biconnected block of g as (vertex mask, edge count), by one
+    depth-first search per component with a stack of vertices (Hopcroft and
+    Tarjan, "Efficient algorithms for graph manipulation", 1973).  A search
+    edge joins a vertex to an ancestor or a descendant: up[u] counts u's
+    edges up, and low[u] is the least depth an edge from u's subtree reaches.
+    A child u of p with low[u] >= depth[p] closes a block: p, u and the
+    vertices above u on the stack, with the up edges of all but p.  Two
+    blocks share at most one vertex, so these are all the edges among the
+    block's vertices.  An isolated vertex is in no block."""
+    rows = g.rows
+    depth = [0] * g.n  # 0 until found; a root has depth 1
     low = [0] * g.n
-    timer = 1
-    edge_stack: list[tuple[int, int]] = []
-    for root in range(g.n):
-        if disc[root]:
-            continue
-        stack = [(root, -1, iter(set_bits(g.rows[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if not disc[v]:
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, u, iter(set_bits(g.rows[v]))))
-                    advanced = True
+    up = [0] * g.n
+    for comp in g.components():
+        root = _low(comp)
+        depth[root] = 1
+        path = [(root, iter(set_bits(rows[root])))]
+        stack = [root]
+        while True:
+            u, nbrs = path[-1]
+            for v in nbrs:
+                if not depth[v]:
+                    depth[v] = low[v] = len(path) + 1
+                    path.append((v, iter(set_bits(rows[v]))))
+                    stack.append(v)
                     break
-                if v != parent and disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    low[u] = min(low[u], disc[v])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pu = stack[-1][0]
-                low[pu] = min(low[pu], low[u])
-                if low[u] >= disc[pu]:
-                    block = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == (pu, u):
+                if depth[v] < depth[u]:
+                    up[u] += 1
+                    low[u] = min(low[u], depth[v])
+            else:
+                path.pop()
+                if not path:
+                    break
+                p = path[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] >= depth[p]:
+                    verts, m = 1 << p, 0
+                    while True:
+                        x = stack.pop()
+                        verts |= 1 << x
+                        m += up[x]
+                        if x == u:
                             break
-                    if block:
-                        yield block
+                    yield verts, m
 
 
 def is_unicyclic(g: Graph) -> bool:

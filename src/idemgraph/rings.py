@@ -261,6 +261,8 @@ class FiniteRing:
         self.zero: Element = tuple((0,) * f.degree for f in spec.factors)
         self.one: Element = tuple((1,) + (0,) * (f.degree - 1) for f in spec.factors)
         self._idempotents: frozenset[Element] | None = None
+        # each spec factor's idempotents in enumeration order, kept by idempotents()
+        self.factor_idempotents: tuple[tuple[Coeffs, ...], ...] | None = None
 
     def __repr__(self):
         return f"FiniteRing({format_ring_spec(self.spec)!r})"
@@ -305,12 +307,15 @@ def build_ring(spec: RingSpec | str, max_size: int = DEFAULT_MAX_RING_SIZE) -> F
 def idempotents(ring: FiniteRing) -> frozenset[Element]:
     """All x with x*x == x (cached on the ring).  Multiplication acts on each
     spec factor separately, so these are the tuples of the factors'
-    idempotents, and each factor is scanned on its own."""
+    idempotents, and each factor is scanned on its own; the first call keeps
+    each factor's idempotents, in enumeration order, as
+    ring.factor_idempotents."""
     if ring._idempotents is None:
-        ring._idempotents = frozenset(itertools.product(*(
-            [a for a in elems if _factor_mul(f, a, a) == a]
+        ring.factor_idempotents = tuple(
+            tuple(a for a in elems if _factor_mul(f, a, a) == a)
             for f, elems in zip(ring.spec.factors, ring.factor_elements)
-        )))
+        )
+        ring._idempotents = frozenset(itertools.product(*ring.factor_idempotents))
     return ring._idempotents
 
 
@@ -361,12 +366,12 @@ def primitive_idempotents(ring: FiniteRing) -> list[LocalFactorProfile]:
     n_k / gcd(n_k, a) for the factor's modulus n_k.  An atom of a later
     factor comes first in enumeration order.
     """
-    ids = idempotents(ring)
+    idempotents(ring)  # keeps ring.factor_idempotents
     profiles = []
     for k in range(len(ring.spec.factors) - 1, -1, -1):
         f = ring.spec.factors[k]
-        factor_ids = {e[k] for e in ids} - {ring.zero[k]}
-        for a in sorted(factor_ids):  # the factor's enumeration order
+        factor_ids = [a for a in ring.factor_idempotents[k] if a != ring.zero[k]]
+        for a in factor_ids:
             if any(b != a and _factor_mul(f, a, b) == b for b in factor_ids):
                 continue
             factor_size = len({_factor_mul(f, x, a) for x in ring.factor_elements[k]})

@@ -13,9 +13,9 @@ import random
 from .graphs import Graph, graph_from_edges
 from .theorems import PROPERTIES
 
-# The 33,868 labeled graphs on at most 6 vertices took 10.5 s on a 2-CPU
-# machine with Python 3.11.  n = 7 adds 2,097,152 graphs at about 0.36 ms
-# each (a uniform sample of 5,000), about 13 minutes.
+# The 33,868 labeled graphs on at most 6 vertices took 7.3 to 7.9 s of
+# process time on a 2-CPU machine with Python 3.11.  n = 7 adds 2,097,152
+# graphs at 0.25 to 0.30 ms each (a uniform sample of 5,000), about 10 minutes.
 MAX_EXHAUSTIVE_N = 6
 MAX_RANDOM_N = 12
 # About 1.3 minutes at 0.77 ms per 12-vertex graph (2,000 random graphs at

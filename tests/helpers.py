@@ -35,6 +35,10 @@ def sub(ring, x, y):
     return ring.add(x, ring.neg(y))
 
 
+def has_edge(g: Graph, i: int, j: int) -> bool:
+    return bool(g.rows[i] >> j & 1)
+
+
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, [full & ~(1 << i) for i in range(n)])
@@ -82,7 +86,7 @@ def induced_subgraph(g: Graph, verts) -> Graph:
         (pos[a], pos[b])
         for a in vs
         for b in vs
-        if a < b and g.has_edge(a, b)
+        if a < b and has_edge(g, a, b)
     ]
     return graph_from_edges(len(vs), edges)
 
@@ -99,11 +103,11 @@ def isomorphic_small(g: Graph, h: Graph) -> bool:
         return False
     if g.n > MAX_PATTERN_VERTICES:
         raise OracleSizeError("isomorphic_small is for pattern-sized graphs")
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
+    if sorted(g.degrees) != sorted(h.degrees):
         return False
     for perm in itertools.permutations(range(g.n)):
-        if all(h.has_edge(perm[i], perm[j]) for i, j in g.edges()) and all(
-            g.has_edge(i, j) == h.has_edge(perm[i], perm[j])
+        if all(has_edge(h, perm[i], perm[j]) for i, j in g.edges()) and all(
+            has_edge(g, i, j) == has_edge(h, perm[i], perm[j])
             for i in range(g.n)
             for j in range(i + 1, g.n)
         ):
@@ -190,10 +194,10 @@ def has_induced_copy(g: Graph, pattern: Graph) -> bool:
     k = pattern.n
     pairs = list(itertools.combinations(range(k), 2))
     copies = {
-        frozenset(p for p in pairs if pattern.has_edge(perm[p[0]], perm[p[1]]))
+        frozenset(p for p in pairs if has_edge(pattern, perm[p[0]], perm[p[1]]))
         for perm in itertools.permutations(range(k))
     }
     return any(
-        frozenset(p for p in pairs if g.has_edge(vs[p[0]], vs[p[1]])) in copies
+        frozenset(p for p in pairs if has_edge(g, vs[p[0]], vs[p[1]])) in copies
         for vs in itertools.combinations(range(g.n), k)
     )

@@ -21,6 +21,7 @@ from helpers import (
     components,
     empty_graph,
     graphs,
+    has_edge,
     random_graphs,
 )
 
@@ -66,12 +67,12 @@ class TestGraphType:
 
     def test_degree_sum_is_twice_edges(self):
         g = complete_bipartite_graph(2, 3)
-        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count()
+        assert sum(g.degrees) == 2 * g.edge_count()
 
 
 def assert_stored_invariants_match_rows(g):
     assert g.degrees == tuple(r.bit_count() for r in g.rows)
-    assert [g.degree(v) for v in range(g.n)] == list(g.degrees)
+    assert len(g.degrees) == g.n
     assert g.edge_count() == sum(r.bit_count() for r in g.rows) // 2 == len(list(g.edges()))
     assert g.components() == tuple(masked_components(g.rows, (1 << g.n) - 1))
 
@@ -142,7 +143,7 @@ class TestBuildIdempotentGraph:
         idx = {r.label(e): i for i, e in enumerate(r.elements)}
         cyc = ["x", "2x", "x + 1", "2x + 2", "x + 2", "2x + 1"]
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            assert g.has_edge(idx[a], idx[b]), (a, b)
+            assert has_edge(g, idx[a], idx[b]), (a, b)
 
     def test_no_loops_even_in_char_2(self):
         g = build_idempotent_graph(build_ring("Z2 * Z2"))
@@ -161,7 +162,7 @@ class TestBuildIdempotentGraph:
         for i, x in enumerate(r.elements):
             for j, y in enumerate(r.elements):
                 expected = i != j and r.add(x, y) in ids
-                assert g.has_edge(i, j) == expected
+                assert has_edge(g, i, j) == expected
 
 
 class TestDegrees:
@@ -169,12 +170,12 @@ class TestDegrees:
         r = build_ring("Z6")
         g = build_idempotent_graph(r)
         # 2*1 = 2 is not idempotent -> degree |Id| = 4; 2*0 = 0 is -> |Id| - 1
-        assert g.degree(1) == 4
-        assert g.degree(0) == 3
+        assert g.degrees[1] == 4
+        assert g.degrees[0] == 3
 
     def test_k4_degrees(self):
         g = complete_graph(4)
-        assert all(g.degree(v) == 3 for v in range(4))
+        assert all(g.degrees[v] == 3 for v in range(4))
 
 
 class TestComponents:
@@ -204,7 +205,7 @@ def test_complement_walk_equals_components_of_the_complement(g, mask):
     co = graph_from_edges(
         g.n,
         [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
-         if inside[i] and inside[j] and not g.has_edge(i, j)],
+         if inside[i] and inside[j] and not has_edge(g, i, j)],
     )
     explicit = [sum(1 << v for v in c) for c in components(co) if inside[c[0]]]
     assert masked_components([r ^ -1 for r in g.rows], mask) == explicit

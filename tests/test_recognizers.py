@@ -10,6 +10,7 @@ from idemgraph.graphs import (
     cycle_graph,
     graph_from_edges,
     path_graph,
+    set_bits,
     two_k2,
 )
 from idemgraph import recognizers
@@ -73,7 +74,7 @@ class TestOuterplanar:
         # an outerplanar graph always has a vertex of degree at most 2
         cube = graph_from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
         assert cube.edge_count() == 12 <= 2 * cube.n - 3
-        assert all(cube.degree(v) == 3 for v in range(8))
+        assert all(cube.degrees[v] == 3 for v in range(8))
         assert is_planar(cube)
         assert not is_outerplanar(cube)
         assert not outerplanar_oracle(cube)
@@ -318,6 +319,76 @@ class TestPlanarityAgainstNetworkx:
         with time_budget(3.0):
             assert is_planar(product)
             assert is_outerplanar(path)
+
+    @pytest.mark.parametrize("outerplanar", [False, True])
+    def test_one_block_decides_where_no_whole_graph_count_does(self, outerplanar):
+        # A 20-cycle, a path 0-20-21-22 off it, and at the path's end a K2,3
+        # (parts {22, 23} and {24, 25, 26}), or a 5-cycle with one chord, which
+        # also has 5 vertices and 6 edges.  The whole graph passes the counts
+        # and has vertices of degree 2, so only that block can decide it, and
+        # the block plus an apex, 6 vertices and 11 edges, goes to path addition.
+        cycle = [(i, (i + 1) % 20) for i in range(20)]
+        path = [(0, 20), (20, 21), (21, 22)]
+        if outerplanar:
+            block = [(22, 23), (23, 24), (24, 25), (25, 26), (26, 22), (22, 24)]
+        else:
+            block = [(a, b) for a in (22, 23) for b in (24, 25, 26)]
+        g = graph_from_edges(27, cycle + path + block)
+        assert recognizers._planar_by_counts(g.n + 1, g.edge_count() + g.n) is None
+        assert min(g.degrees) == 2
+        assert recognizers._planar_by_counts(6, 11) is None
+        assert is_outerplanar(g) == outerplanar
+        assert (is_planar(g), is_outerplanar(g)) == networkx_verdicts(g)
+
+
+@st.composite
+def pieced_graphs(draw, max_n=40):
+    """Pieces of up to 8 consecutive vertices, each with its own edge
+    probability, most joined to the next piece by one edge, vertices
+    shuffled: isolated vertices, bridges, cut vertices and several
+    components all show up."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    edges, start = set(), 0
+    while start < n:
+        end = min(n, start + rnd.randint(1, 8))
+        p = rnd.random()
+        edges |= {(i, j) for i in range(start, end) for j in range(i + 1, end) if rnd.random() < p}
+        if end < n and rnd.random() < 0.6:
+            edges.add((rnd.randrange(start, end), end))
+        start = end
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    return graph_from_edges(n, [(perm[i], perm[j]) for i, j in edges])
+
+
+def networkx_blocks(g):
+    """(vertices, edge count) of each biconnected component, by networkx."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return sorted((sorted(c), h.subgraph(c).number_of_edges()) for c in nx.biconnected_components(h))
+
+
+def blocks(g):
+    return sorted((set_bits(verts), m) for verts, m in recognizers._blocks(g))
+
+
+class TestBlocksAgainstNetworkx:
+    @settings(max_examples=300, deadline=None)
+    @given(pieced_graphs())
+    def test_pieced_graphs(self, g):
+        assert blocks(g) == networkx_blocks(g), sorted(g.edges())
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graphs())
+    def test_sparse_graphs(self, g):
+        assert blocks(g) == networkx_blocks(g), sorted(g.edges())
+
+    def test_every_default_sweep_ring(self):
+        for spec in enumerate_sweep_specs(SweepConfig()):
+            g = ring_graph(spec)
+            assert blocks(g) == networkx_blocks(g), spec
 
 
 def cactus_oracle(g):

@@ -288,6 +288,16 @@ class TestIdempotents:
         r = build_ring(spec)
         assert idempotents(r) == scan_idempotents(r)
 
+    @pytest.mark.parametrize("spec", ["Z12", "GF(4) * Z2", "Z2 * Z9", "Z6[x]/(x^2) * Z10", "Z2[x]/(x^2 + x) * Z4"])
+    def test_factor_lists_are_the_projections_in_enumeration_order(self, spec):
+        r = build_ring(spec)
+        ids = scan_idempotents(r)
+        assert r.factor_idempotents is None
+        idempotents(r)
+        assert r.factor_idempotents == tuple(
+            tuple(sorted({e[k] for e in ids})) for k in range(len(r.spec.factors))
+        )
+
     @pytest.mark.parametrize("spec", ["Z6", "Z12", "GF(4) * Z3", "Z2 * Z2 * Z2"])
     def test_complement_and_square(self, spec):
         r = build_ring(spec)

@@ -131,19 +131,19 @@ class TestDegreeFormula:
         ring = build_ring("Z6")
         g = build_idempotent_graph(ring)
         assert verify_degree_formula(ring, g)
-        assert [g.degree(v) for v in range(6)] == [3, 4, 3, 3, 4, 3]
+        assert g.degrees == (3, 4, 3, 3, 4, 3)
 
     def test_z2xz2_all_degrees(self):
         ring = build_ring("Z2 * Z2")
         g = build_idempotent_graph(ring)
         assert verify_degree_formula(ring, g)
-        assert all(g.degree(v) == 3 for v in range(4))
+        assert g.degrees == (3, 3, 3, 3)
 
     def test_z9_path_degrees(self):
         ring = build_ring("Z9")
         g = build_idempotent_graph(ring)
         assert verify_degree_formula(ring, g)
-        assert sorted(g.degree(v) for v in range(9)) == [1, 1, 2, 2, 2, 2, 2, 2, 2]
+        assert sorted(g.degrees) == [1, 1, 2, 2, 2, 2, 2, 2, 2]
 
 
 def toggled(g, i, j):

@@ -13,10 +13,10 @@ from .rings import FiniteRing, idempotents
 class Graph:
     """Simple undirected graph; adjacency row i is a Python-int bitset.
 
-    The degrees, the edge count and the components are whole-graph facts
-    that several recognizers and the report read, so each is computed once:
-    the degrees and edge count while the rows are validated, the components
-    on first use."""
+    The degrees, the edge count and the components, each with its vertex
+    and edge counts, are whole-graph facts that several recognizers and the
+    report read, so each is computed once: the degrees and edge count while
+    the rows are validated, the components on first use."""
 
     __slots__ = ("n", "rows", "degrees", "_edge_count", "_components")
 
@@ -53,10 +53,11 @@ class Graph:
     def edge_count(self) -> int:
         return self._edge_count
 
-    def components(self) -> tuple[int, ...]:
-        """The components as vertex bitmasks, ordered by least vertex."""
+    def components(self) -> tuple[tuple[int, int, int], ...]:
+        """Each component as (vertex bitmask, vertex count k, edge count m),
+        ordered by least vertex, counted by the search that finds it."""
         if self._components is None:
-            self._components = tuple(masked_components(self.rows, (1 << self.n) - 1))
+            self._components = tuple(masked_components(self.rows, (1 << self.n) - 1, self.degrees))
         return self._components
 
     def edges(self):
@@ -134,23 +135,31 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     return Graph(ring.size, [r & ~(1 << i) for i, r in enumerate(rows)])
 
 
-def masked_components(rows, mask: int) -> list[int]:
-    """Components of the subgraph that the vertex mask induces, as vertex
-    bitmasks ordered by least vertex.  Passing every row XOR-ed with -1
-    walks the complement graph instead."""
+def masked_components(rows, mask: int, degrees) -> list[tuple[int, int, int]]:
+    """Components of the subgraph that the vertex mask induces, ordered by
+    least vertex, each as (vertex bitmask, vertex count, half the sum of
+    degrees[v] over its vertices v).  Every neighbour of a vertex lies in its
+    component, so with the degrees of the graph the rows describe and a mask
+    of all its vertices, the last is the component's edge count; other
+    callers read only the mask and the count.  Passing every row XOR-ed with
+    -1 walks the complement graph instead."""
     out = []
     rest = mask
     while rest:
         comp = frontier = rest & -rest
+        k = d = 0
         while frontier:
             reach = 0
             while frontier:
                 low = frontier & -frontier
-                reach |= rows[low.bit_length() - 1]
+                v = low.bit_length() - 1
+                k += 1
+                d += degrees[v]
+                reach |= rows[v]
                 frontier ^= low
             frontier = reach & mask & ~comp
             comp |= frontier
-        out.append(comp)
+        out.append((comp, k, d // 2))
         rest ^= comp
     return out
 
@@ -171,22 +180,22 @@ def is_connected(g: Graph) -> bool:
 
 def component_census(g: Graph) -> list[tuple[int, str]]:
     """(size, shape) of each component, ordered by least vertex; the shape
-    is path, even-cycle, odd-cycle, complete or other.  Every neighbour of
-    a vertex lies in its component, so its degree there is its degree."""
+    is path, even-cycle, odd-cycle, complete or other.  A component of k
+    vertices and m edges is a path if it is a tree (m = k - 1) and a cycle
+    if m = k and it is not a triangle, each only with no degree above 2, so
+    the degrees are read only when m is k - 1 or k."""
     out = []
-    for comp in g.components():
-        degs = [g.degrees[v] for v in set_bits(comp)]
-        s = len(degs)
-        m = sum(degs) // 2
-        if m == s - 1 and max(degs, default=0) <= 2:
+    for comp, k, m in g.components():
+        thin = (m == k - 1 or m == k) and max(map(g.degrees.__getitem__, set_bits(comp))) <= 2
+        if thin and m == k - 1:
             shape = "path"
-        elif m == s * (s - 1) // 2:
+        elif 2 * m == k * (k - 1):
             shape = "complete"
-        elif m == s and all(d == 2 for d in degs):
-            shape = "even-cycle" if s % 2 == 0 else "odd-cycle"
+        elif thin:
+            shape = "even-cycle" if k % 2 == 0 else "odd-cycle"
         else:
             shape = "other"
-        out.append((s, shape))
+        out.append((k, shape))
     return out
 
 

@@ -5,15 +5,21 @@ Each recognizer is a polynomial-time decision procedure; the matching
 brute-force oracles live in `oracles` and the two are compared head-to-head
 by the self-test harness.  Everything works directly on bitset rows.
 
-Planarity is decided block by block.  A graph, or a biconnected block, with
-at most 4 vertices or 8 edges is planar (K5 needs 10 edges and K3,3 needs 9),
-and one with more than 3n - 6 edges is not (Euler).  A block these counts do
-not decide goes to the path-addition test of Demoucron, Malgrange and
-Pertuiset (1964): embed a cycle, then add paths through the fragments of the
-graph left over, each into a face whose boundary holds all the fragment's
-attachment vertices.  The faces it keeps are a planar embedding of the block.
-Outerplanarity is planarity of each block plus an apex vertex joined to all
-of it, by the same counts and path addition.
+Planarity is decided by counts at three levels: the whole graph, each
+component and each biconnected block.  A graph with at most 4 vertices or 8
+edges is planar (K5 needs 10 edges and K3,3 needs 9), and one with more than
+3n - 6 edges is not (Euler).  The graph's counts come first; then each
+component's, read from `Graph.components()`, where one rejected component
+makes the graph non-planar; then, by one block search over the components
+still open, each block's.  A block the counts do not decide goes to the
+path-addition test of Demoucron, Malgrange and Pertuiset (1964): embed a
+cycle, then add paths through the fragments of the graph left over, each
+into a face whose boundary holds all the fragment's attachment vertices.
+The faces it keeps are a planar embedding of the block.  Outerplanarity is
+planarity of each block plus an apex vertex joined to all of it, by the
+same three levels of counts, with the exit that at most 5 edges is
+outerplanar, and path addition.  The cograph walk skips complete components
+the same way, by their counts.
 """
 
 from __future__ import annotations
@@ -27,10 +33,13 @@ def is_planar(g: Graph) -> bool:
     known = _planar_by_counts(g.n, g.edge_count())
     if known is not None:
         return known
-    for verts, m in _blocks(g):
+    comps = _open_components(g, _planar_by_counts)
+    if comps is None:
+        return False
+    for verts, m in _blocks(g, comps):
         known = _planar_by_counts(verts.bit_count(), m)
         if known is None:
-            known = _planar_block(g.rows, verts)
+            known = _planar_block(g.rows, g.degrees, verts)
         if not known:
             return False
     return True
@@ -45,9 +54,23 @@ def _planar_by_counts(n: int, m: int) -> bool | None:
     return None
 
 
-def _planar_block(rows, verts: int) -> bool:
+def _open_components(g: Graph, by_counts) -> list[int] | None:
+    """The masks of the components of g that by_counts(k, m) leaves open,
+    or None when it rejects one."""
+    out = []
+    for comp, k, m in g.components():
+        known = by_counts(k, m)
+        if known is None:
+            out.append(comp)
+        elif not known:
+            return None
+    return out
+
+
+def _planar_block(rows, degrees, verts: int) -> bool:
     """Demoucron-Malgrange-Pertuiset path addition on the biconnected block
-    with vertex mask verts (at least 3 vertices).
+    with vertex mask verts (at least 3 vertices) of the graph with the given
+    rows and degrees.
 
     The embedded subgraph H starts as a cycle and grows by one path per
     step.  Its faces are simple cycles, kept as vertex lists and as vertex
@@ -88,7 +111,7 @@ def _planar_block(rows, verts: int) -> bool:
             placed |= 1 << x
             chords = rows[x] & verts & placed & ~(1 << p | 1 << q)
             made += [((x, y), 1 << x | 1 << y) for y in set_bits(chords)]
-        for comp in masked_components(rows, body & ~placed):
+        for comp, _, _ in masked_components(rows, body & ~placed, degrees):
             att = 0
             for x in set_bits(comp):
                 att |= rows[x]
@@ -205,24 +228,38 @@ def _mask(verts) -> int:
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Each block plus an apex vertex joined to all of it is planar.  With
-    k vertices and m edges, a graph or block plus the apex has k + 1 and
-    m + k, so the counts pass k <= 3 and reject m > 2k - 3; the apex rows are
-    built for the first block they leave open."""
-    known = _planar_by_counts(g.n + 1, g.edge_count() + g.n)
+    """Each block plus an apex vertex joined to all of it is planar, decided
+    by `_outerplanar_by_counts` on the graph, then on each component, then
+    on each block; the apex rows are built for the first block the counts
+    leave open."""
+    known = _outerplanar_by_counts(g.n, g.edge_count())
     if known is not None:
         return known
+    comps = _open_components(g, _outerplanar_by_counts)
+    if comps is None:
+        return False
     apex_rows = None
-    for verts, m in _blocks(g):
+    for verts, m in _blocks(g, comps):
         k = verts.bit_count()
-        known = _planar_by_counts(k + 1, m + k)
+        known = _outerplanar_by_counts(k, m)
         if known is None:
             if apex_rows is None:
                 apex_rows = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1]
-            known = _planar_block(apex_rows, verts | 1 << g.n)
+                apex_degrees = [d + 1 for d in g.degrees] + [g.n]
+            known = _planar_block(apex_rows, apex_degrees, verts | 1 << g.n)
         if not known:
             return False
     return True
+
+
+def _outerplanar_by_counts(k: int, m: int) -> bool | None:
+    """Outerplanarity when the counts of k vertices and m edges decide it,
+    else None.  At most 5 edges is outerplanar, since K4 and K2,3 each need
+    6.  Otherwise the graph plus the apex has k + 1 vertices and m + k edges,
+    so the planar counts pass k <= 3 and reject m > 2k - 3."""
+    if m <= 5:
+        return True
+    return _planar_by_counts(k + 1, m + k)
 
 
 def is_split(g: Graph) -> bool:
@@ -268,18 +305,22 @@ def is_cograph(g: Graph) -> bool:
     """Cotree decomposition: every induced subgraph on >= 2 vertices must be
     disconnected or have a disconnected complement.  A component is
     connected, so only its complement can split it, and a co-component
-    only the graph: the walk alternates, starting from g's components."""
+    only the graph: the walk alternates, starting from g's components.  A
+    complete component (2m = k(k - 1)) is a cograph, so the walk starts only
+    from the others, and the complement rows are built only if there is
+    one."""
+    comps = [comp for comp, k, m in g.components() if 2 * m != k * (k - 1)]
+    if not comps:
+        return True
     co_rows = [r ^ -1 for r in g.rows]
-    stack = [(comp, co_rows) for comp in g.components()]
+    stack = [(comp, co_rows) for comp in comps]
     while stack:
         mask, rows = stack.pop()
-        if mask.bit_count() < 2:
-            continue
-        parts = masked_components(rows, mask)
+        parts = masked_components(rows, mask, g.degrees)
         if len(parts) == 1:
             return False
         rows = g.rows if rows is co_rows else co_rows
-        stack.extend((part, rows) for part in parts)
+        stack.extend((part, rows) for part, k, _ in parts if k > 1)
     return True
 
 
@@ -290,16 +331,18 @@ def is_cactus(g: Graph) -> bool:
     rejected without a search."""
     if g.n == 0 or 2 * g.edge_count() > 3 * (g.n - 1) or not is_connected(g):
         return False
-    return all(m <= verts.bit_count() for verts, m in _blocks(g))
+    # g is connected, so its one component is every vertex
+    return all(m <= verts.bit_count() for verts, m in _blocks(g, [(1 << g.n) - 1]))
 
 
-def _blocks(g: Graph):
-    """Each biconnected block of g as (vertex mask, edge count), by one
-    depth-first search per component with a stack of vertices (Hopcroft and
-    Tarjan, "Efficient algorithms for graph manipulation", 1973).  A search
-    edge joins a vertex to an ancestor or a descendant: up[u] counts u's
-    edges up, and low[u] is the least depth an edge from u's subtree reaches.
-    A child u of p with low[u] >= depth[p] closes a block: p, u and the
+def _blocks(g: Graph, comps):
+    """Each biconnected block of the components of g whose vertex masks comps
+    lists, as (vertex mask, edge count), by one depth-first search from each
+    component's least vertex with a stack of vertices (Hopcroft and Tarjan,
+    "Efficient algorithms for graph manipulation", 1973).  A search edge
+    joins a vertex to an ancestor or a descendant: up[u] counts u's edges
+    up, and low[u] is the least depth an edge from u's subtree reaches.  A
+    child u of p with low[u] >= depth[p] closes a block: p, u and the
     vertices above u on the stack, with the up edges of all but p.  Two
     blocks share at most one vertex, so these are all the edges among the
     block's vertices.  An isolated vertex is in no block."""
@@ -307,7 +350,7 @@ def _blocks(g: Graph):
     depth = [0] * g.n  # 0 until found; a root has depth 1
     low = [0] * g.n
     up = [0] * g.n
-    for comp in g.components():
+    for comp in comps:
         root = _low(comp)
         depth[root] = 1
         path = [(root, iter(set_bits(rows[root])))]

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
-from idemgraph.graphs import Graph, graph_from_edges, masked_components, set_bits
+from idemgraph.graphs import Graph, graph_from_edges, set_bits
 from idemgraph.oracles import _TARGETS, MAX_PATTERN_VERTICES, OracleSizeError
 
 
@@ -74,8 +74,32 @@ def random_graphs(draw, max_n=40):
 
 
 def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    return [set_bits(c) for c in masked_components(g.rows, (1 << g.n) - 1)]
+    """Connected components as sorted vertex lists, ordered by least vertex,
+    by a plain search over neighbour lists (the reference for the masked
+    search in `graphs.masked_components`)."""
+    seen, out = set(), []
+    for root in range(g.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, todo = [root], [root]
+        while todo:
+            for w in set_bits(g.rows[todo.pop()]):
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    todo.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def disjoint_union(parts) -> Graph:
+    """The graphs of parts side by side, each relabeled past the last."""
+    edges, n = [], 0
+    for h in parts:
+        edges += [(n + i, n + j) for i, j in h.edges()]
+        n += h.n
+    return graph_from_edges(n, edges)
 
 
 def induced_subgraph(g: Graph, verts) -> Graph:

@@ -11,6 +11,7 @@ from idemgraph.graphs import (
     graph_from_edges,
     is_path_graph,
     masked_components,
+    set_bits,
 )
 from idemgraph.rings import build_ring
 from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
@@ -74,7 +75,12 @@ def assert_stored_invariants_match_rows(g):
     assert g.degrees == tuple(r.bit_count() for r in g.rows)
     assert len(g.degrees) == g.n
     assert g.edge_count() == sum(r.bit_count() for r in g.rows) // 2 == len(list(g.edges()))
-    assert g.components() == tuple(masked_components(g.rows, (1 << g.n) - 1))
+    assert g.components() == tuple(masked_components(g.rows, (1 << g.n) - 1, g.degrees))
+    assert [set_bits(c) for c, _, _ in g.components()] == components(g)
+    for c, k, m in g.components():
+        assert k == c.bit_count()
+        # every edge with one end in a component has both ends there
+        assert m == sum(1 for i, j in g.edges() if c >> i & 1) == sum(1 for i, j in g.edges() if c >> j & 1)
 
 
 class TestStoredInvariants:
@@ -90,7 +96,7 @@ class TestStoredInvariants:
     def test_components_are_found_once(self):
         g = graph_from_edges(5, [(0, 1), (3, 4)])
         assert g.components() is g.components()
-        assert g.components() == (0b00011, 0b00100, 0b11000)
+        assert g.components() == ((0b00011, 2, 1), (0b00100, 1, 0), (0b11000, 2, 1))
 
     @settings(max_examples=300, deadline=None)
     @given(random_graphs(max_n=40), st.data())
@@ -208,7 +214,9 @@ def test_complement_walk_equals_components_of_the_complement(g, mask):
          if inside[i] and inside[j] and not has_edge(g, i, j)],
     )
     explicit = [sum(1 << v for v in c) for c in components(co) if inside[c[0]]]
-    assert masked_components([r ^ -1 for r in g.rows], mask) == explicit
+    walked = masked_components([r ^ -1 for r in g.rows], mask, g.degrees)
+    assert [c for c, _, _ in walked] == explicit
+    assert all(k == c.bit_count() for c, k, _ in walked)
 
 
 class TestCensus:
@@ -226,6 +234,16 @@ class TestCensus:
 
     def test_triangle_counts_as_complete(self):
         assert census_set(cycle_graph(3)) == [(3, "complete")]
+
+    def test_trees_and_unicyclic_components_need_low_degrees(self):
+        # a star K1,3 and a triangle with a pendant vertex have the counts of
+        # a path and of a cycle, and a vertex of degree 3
+        star = [(0, 1), (0, 2), (0, 3)]
+        paw = [(4, 5), (5, 6), (6, 4), (6, 7)]
+        c4 = [(8, 9), (9, 10), (10, 11), (11, 8)]
+        assert component_census(graph_from_edges(12, star + paw + c4)) == [
+            (4, "other"), (4, "other"), (4, "even-cycle"),
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(graphs(max_n=7))

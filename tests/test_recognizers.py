@@ -38,6 +38,8 @@ from idemgraph.theorems import PROPERTIES
 from helpers import (
     complete_bipartite_graph,
     complete_graph,
+    disjoint_union,
+    empty_graph,
     graphs,
     random_graphs,
     reference_is_threshold,
@@ -341,6 +343,76 @@ class TestPlanarityAgainstNetworkx:
         assert (is_planar(g), is_outerplanar(g)) == networkx_verdicts(g)
 
 
+def record_block_searches(monkeypatch):
+    """The component masks each `_blocks` call is given, in call order."""
+    calls, real = [], recognizers._blocks
+    monkeypatch.setattr(recognizers, "_blocks", lambda g, comps: calls.append(list(comps)) or real(g, comps))
+    return calls
+
+
+class TestCountsPerComponent:
+    # 1,024 separate K4s, the shape of G_Id(GF(64) x GF(64)); 6,144 edges on
+    # 4,096 vertices leave the whole graph's planar counts open
+    K4S = [complete_graph(4)] * 1024
+
+    def test_disjoint_k4s_are_planar_and_a_cograph_without_a_block_search(self, monkeypatch):
+        g = disjoint_union(self.K4S)
+        assert recognizers._planar_by_counts(g.n, g.edge_count()) is None
+        searched = record_block_searches(monkeypatch)
+        assert is_planar(g)
+        assert is_cograph(g)
+        assert searched == [[]]
+
+    def test_one_k5_component_is_rejected_by_its_counts(self, monkeypatch):
+        g = disjoint_union(self.K4S + [complete_graph(5)])
+        assert recognizers._planar_by_counts(g.n, g.edge_count()) is None
+        searched = record_block_searches(monkeypatch)
+        assert not is_planar(g)
+        assert searched == []
+
+    def test_one_subdivided_k33_component_is_decided_by_its_blocks(self, monkeypatch):
+        # K3,3 with the edge 0-3 replaced by the path 0-6-3: 7 vertices and
+        # 10 edges, which the counts leave open
+        k33 = [(a, b) for a in range(3) for b in range(3, 6) if (a, b) != (0, 3)] + [(0, 6), (6, 3)]
+        g = disjoint_union(self.K4S + [graph_from_edges(7, k33)])
+        searched = record_block_searches(monkeypatch)
+        assert not is_planar(g)
+        assert searched == [[0b1111111 << 4096]]
+
+    def test_k8_components_and_one_p4_are_not_a_cograph(self):
+        k8s = [complete_graph(8)] * 512
+        assert is_cograph(disjoint_union(k8s))
+        assert not is_cograph(disjoint_union(k8s + [path_graph(4)]))
+        assert not is_cograph(disjoint_union([path_graph(4)] + k8s))
+
+    def test_the_cograph_walk_starts_from_each_component_that_is_not_complete(self, monkeypatch):
+        # K5 minus an edge is a cograph (two non-adjacent vertices joined to
+        # a triangle); it is the one component here that is not complete
+        near = graph_from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)])
+        g = disjoint_union([complete_graph(5), near, complete_graph(3), empty_graph(1)])
+        walked, real = [], recognizers.masked_components
+        monkeypatch.setattr(recognizers, "masked_components", lambda rows, mask, degrees: walked.append(mask) or real(rows, mask, degrees))
+        assert is_cograph(g)
+        assert walked[0] == 0b11111 << 5
+        assert all(mask >> 5 <= 0b11111 and mask & 0b11111 == 0 for mask in walked)
+        walked.clear()
+        assert is_cograph(disjoint_union([complete_graph(5), complete_graph(3), empty_graph(1)]))
+        assert walked == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(random_graphs(max_n=8), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_disjoint_unions_are_decided_as_their_parts(parts, rnd):
+    g = disjoint_union(parts)
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    g = relabel(g, perm)
+    planar, outerplanar = networkx_verdicts(g)
+    assert is_planar(g) == all(map(is_planar, parts)) == planar
+    assert is_outerplanar(g) == all(map(is_outerplanar, parts)) == outerplanar
+    assert is_cograph(g) == all(map(is_cograph, parts)) == (cograph_oracle(g) is None)
+
+
 @st.composite
 def pieced_graphs(draw, max_n=40):
     """Pieces of up to 8 consecutive vertices, each with its own edge
@@ -371,7 +443,8 @@ def networkx_blocks(g):
 
 
 def blocks(g):
-    return sorted((set_bits(verts), m) for verts, m in recognizers._blocks(g))
+    comps = [c for c, _, _ in g.components()]
+    return sorted((set_bits(verts), m) for verts, m in recognizers._blocks(g, comps))
 
 
 class TestBlocksAgainstNetworkx:

@@ -16,7 +16,16 @@ class Graph:
     The degrees, the edge count and the components, each with its vertex
     and edge counts, are whole-graph facts that several recognizers and the
     report read, so each is computed once: the degrees and edge count while
-    the rows are validated, the components on first use."""
+    the rows are validated, the components on first use.
+
+    The rows are validated in two passes.  The first rejects a bit at or
+    beyond n and a loop in any row.  The second checks symmetry, one of two
+    ways.  A dense graph, with more than 2 n b bits set (b the bit length
+    of n, so about b edges per vertex), is compared with its transpose,
+    computed in about (n / 2) b row steps.  If the two are equal, the edge
+    count is half the bit count.  A sparse graph, or a dense one that
+    differs from its transpose, is walked: one step per bit above the
+    diagonal, which names the first such bit found unmirrored."""
 
     __slots__ = ("n", "rows", "degrees", "_edge_count", "_components")
 
@@ -25,20 +34,28 @@ class Graph:
         self.rows = rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"{len(rows)} rows for {n} vertices")
+        for i, r in enumerate(rows):
+            if r >> n:
+                raise ValueError(f"row {i} has bits beyond vertex count")
+            if r >> i & 1:
+                raise ValueError(f"loop at vertex {i}")
         self.degrees = tuple(map(int.bit_count, rows))
         self._components = None
-        # Symmetry: every bit above the diagonal is mirrored below it, and
+        bits = sum(self.degrees)
+        # Symmetry.  The transpose costs about (n / 2) b row-pair steps
+        # whatever the edge count, so it is tried only above 2 n b bits,
+        # where a walk of one step per edge would cost more.
+        if bits > 2 * n * n.bit_length() and transpose(rows) == rows:
+            self._edge_count = bits // 2
+            return
+        # The walk: every bit above the diagonal is mirrored below it, and
         # there are as many bits below as above, so nothing else is below.
         # The bits above are walked from the highest down, and each partner
         # row is tested against bit i as it is, so a step of the walk
         # neither negates r nor shifts the partner row.
         above = 0
         for i, r in enumerate(rows):
-            if r >> n:
-                raise ValueError(f"row {i} has bits beyond vertex count")
             bit = 1 << i
-            if r & bit:
-                raise ValueError(f"loop at vertex {i}")
             r >>= i + 1
             above += r.bit_count()
             while r:
@@ -46,7 +63,7 @@ class Graph:
                 if not rows[i + 1 + k] & bit:
                     raise ValueError(f"asymmetric adjacency at ({i}, {i + 1 + k})")
                 r ^= 1 << k
-        if 2 * above != sum(self.degrees):
+        if 2 * above != bits:
             raise ValueError("asymmetric adjacency below the diagonal")
         self._edge_count = above
 
@@ -70,6 +87,31 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def transpose(rows) -> tuple[int, ...]:
+    """The transpose of the square 0/1 matrix whose row i is the bitset
+    rows[i], for n = len(rows) rows with no bit at or beyond n.
+
+    The recursive block transpose (Warren, Hacker's Delight, 2nd ed.,
+    section 7-3): the rows are padded with zero rows to a power of two N,
+    and at each scale b = N/2, ..., 1 every row i with bit b of i clear
+    swaps its block of columns j + b with row i + b's block of columns j,
+    over the columns j with bit b of j clear (the mask M_b)."""
+    n = len(rows)
+    size = 1 << (n - 1).bit_length() if n else 0
+    t = list(rows) + [0] * (size - n)
+    every = (1 << size) - 1
+    b = size >> 1
+    while b:
+        m = every // ((1 << 2 * b) - 1) * ((1 << b) - 1)
+        for lo in range(0, size, 2 * b):
+            for i in range(lo, lo + b):
+                d = ((t[i] >> b) ^ t[i + b]) & m
+                t[i] ^= d << b
+                t[i + b] ^= d
+        b >>= 1
+    return tuple(t[:n])
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -132,7 +174,9 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
                     row |= r << s
                 wider.append(row)
         rows = wider
-    return Graph(ring.size, [r & ~(1 << i) for i, r in enumerate(rows)])
+    for i in range(len(rows)):
+        rows[i] &= ~(1 << i)
+    return Graph(ring.size, rows)
 
 
 def masked_components(rows, mask: int, degrees) -> list[tuple[int, int, int]]:

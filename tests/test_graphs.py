@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from idemgraph.graphs import (
     is_path_graph,
     masked_components,
     set_bits,
+    transpose,
 )
 from idemgraph.rings import build_ring
 from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
@@ -29,6 +32,19 @@ from helpers import (
 
 def census_set(g):
     return sorted(component_census(g))
+
+
+def is_dense(g):
+    """Whether Graph checks g's symmetry against the transpose first."""
+    return sum(g.degrees) > 2 * g.n * g.n.bit_length()
+
+
+def complement(g):
+    full = (1 << g.n) - 1
+    return Graph(g.n, [full ^ r ^ (1 << i) for i, r in enumerate(g.rows)])
+
+
+dense_graphs = random_graphs(max_n=40).map(complement).filter(is_dense)
 
 
 class TestGraphType:
@@ -54,8 +70,8 @@ class TestGraphType:
         with pytest.raises(ValueError, match="outside"):
             graph_from_edges(3, [edge])
 
-    @settings(max_examples=150, deadline=None)
-    @given(graphs(max_n=8), st.data())
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(graphs(max_n=8), dense_graphs), st.data())
     def test_rejects_any_one_directed_bit_cleared(self, g, data):
         assume(g.edge_count())
         i, j = data.draw(st.sampled_from(sorted(g.edges())))
@@ -63,12 +79,60 @@ class TestGraphType:
             i, j = j, i
         rows = list(g.rows)
         rows[i] &= ~(1 << j)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             Graph(g.n, rows)
+        expected = "below the diagonal" if i < j else f"at ({j}, {i})"
+        assert str(raised.value) == f"asymmetric adjacency {expected}"
 
     def test_degree_sum_is_twice_edges(self):
         g = complete_bipartite_graph(2, 3)
         assert sum(g.degrees) == 2 * g.edge_count()
+
+
+def reference_transpose(rows):
+    n = len(rows)
+    return tuple(sum((rows[j] >> i & 1) << j for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("n", [*range(71), 257])
+def test_transpose_matches_a_bit_by_bit_reference(n):
+    rnd = random.Random(n)
+    for density in (0.5, 0.95):
+        rows = [sum((rnd.random() < density) << j for j in range(n)) for _ in range(n)]
+        assert transpose(rows) == reference_transpose(rows)
+        assert transpose(transpose(rows)) == tuple(rows)
+
+
+class TestSymmetryPath:
+    """Graph compares a dense graph's rows with their transpose, and walks
+    the bits above the diagonal of every other graph."""
+
+    @pytest.fixture
+    def transposed(self, monkeypatch):
+        seen = []
+
+        def counted(rows):
+            seen.append(len(rows))
+            return transpose(rows)
+
+        monkeypatch.setattr("idemgraph.graphs.transpose", counted)
+        return seen
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: complete_graph(16), lambda: build_idempotent_graph(build_ring("Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2"))],
+        ids=["K16", "Z2^8"],
+    )
+    def test_dense_graphs_are_transposed_once(self, transposed, make):
+        g = make()
+        assert is_dense(g) and transposed == [g.n]
+        assert g.edge_count() == g.n * (g.n - 1) // 2
+
+    def test_sparse_graphs_are_walked(self, transposed):
+        for spec in ["GF(16)*GF(16)*GF(16)", *enumerate_sweep_specs(SweepConfig())]:
+            g = build_idempotent_graph(build_ring(spec))
+            assert not is_dense(g)
+        assert transposed == []
 
 
 def assert_stored_invariants_match_rows(g):
@@ -98,8 +162,8 @@ class TestStoredInvariants:
         assert g.components() is g.components()
         assert g.components() == ((0b00011, 2, 1), (0b00100, 1, 0), (0b11000, 2, 1))
 
-    @settings(max_examples=300, deadline=None)
-    @given(random_graphs(max_n=40), st.data())
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(random_graphs(max_n=40), dense_graphs), st.data())
     def test_flipping_any_off_diagonal_bit_names_asymmetry(self, g, data):
         assume(g.n >= 2)
         i = data.draw(st.integers(0, g.n - 1))
@@ -108,8 +172,14 @@ class TestStoredInvariants:
 
     @pytest.mark.parametrize(
         "g",
-        [complete_graph(7), empty_graph(7), build_idempotent_graph(build_ring("Z4 * Z2"))],
-        ids=["K7", "empty", "Z4xZ2"],
+        [
+            complete_graph(7),
+            empty_graph(7),
+            build_idempotent_graph(build_ring("Z4 * Z2")),
+            complete_graph(16),
+            build_idempotent_graph(build_ring("Z2*Z2*Z2*Z2*Z2")),
+        ],
+        ids=["K7", "empty", "Z4xZ2", "K16", "Z2^5"],
     )
     def test_flipping_the_highest_upper_bit_of_any_row_names_asymmetry(self, g):
         # the walk over a row's upper bits starts at the highest, so both
@@ -121,14 +191,19 @@ class TestStoredInvariants:
 
 
 def assert_flip_names_asymmetry(g, i, j):
-    """Flip bit j of row i (i != j).  A bit set above the diagonal must be
-    caught at its own pair; any other flip at least by the count of the
-    bits below."""
+    """Flip bit j of row i (i != j).  The one unmirrored pair is named when
+    its bit above the diagonal is the one set; otherwise the count of the
+    bits below catches it."""
     rows = list(g.rows)
     rows[i] ^= 1 << j
-    at = f"at \\({i}, {j}\\)" if j > i and rows[i] >> j & 1 else "asymmetric"
-    with pytest.raises(ValueError, match=at):
+    upper, lower = min(i, j), max(i, j)
+    if rows[upper] >> lower & 1:
+        expected = f"asymmetric adjacency at ({upper}, {lower})"
+    else:
+        expected = "asymmetric adjacency below the diagonal"
+    with pytest.raises(ValueError) as raised:
         Graph(g.n, rows)
+    assert str(raised.value) == expected
 
 
 class TestBuildIdempotentGraph:

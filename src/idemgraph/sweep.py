@@ -13,7 +13,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import build_idempotent_graph
-from .rings import DEFAULT_MAX_RING_SIZE, build_ring, format_ring_spec, is_local, parse_ring_spec
+from .rings import (
+    DEFAULT_MAX_RING_SIZE,
+    RingSpec,
+    build_ring,
+    format_ring_spec,
+    is_local,
+    parse_ring_spec,
+)
 from .theorems import cross_validate
 
 # Small local rings covering every characteristic/generated-by-idempotents
@@ -84,19 +91,29 @@ def enumerate_sweep_specs(config: SweepConfig) -> list[str]:
     return sorted(set(specs))
 
 
-def _classify_one(args: tuple[str, int]) -> dict:
-    spec_text, max_size = args
-    ring = build_ring(spec_text, max_size=max_size)
+def _classify_one(args: tuple[RingSpec, int]) -> dict:
+    spec, max_size = args
+    ring = build_ring(spec, max_size=max_size)
     return cross_validate(ring, build_idempotent_graph(ring))
 
 
 def run_sweep(config: SweepConfig) -> dict:
-    """Cross-validate every sweep ring; returns a deterministic summary."""
+    """Cross-validate every sweep ring; returns a deterministic summary.
+
+    The rings are built from one FactorSpec per catalog factor, so each
+    factor's own facts (its elements, idempotents, atoms, doubling flags
+    and offsets) are computed once per sweep, not once per ring.  A worker
+    process gets its own copy of the factors of each job it runs."""
     config.validate()
     specs = enumerate_sweep_specs(config)
     if not specs:
         raise ValueError(f"no catalog ring has at most {config.max_ring_size} elements")
-    jobs = [(s, config.max_ring_size) for s in specs]
+    # validate() has checked that every catalog entry is local: one factor
+    shared = {format_ring_spec(spec): spec.factors[0] for spec in map(parse_ring_spec, config.catalog)}
+    jobs = [
+        (RingSpec(tuple(shared[text] for text in s.split(" * "))), config.max_ring_size)
+        for s in specs
+    ]
     # The pool starts every worker at once, so never ask for more than
     # there are CPUs or rings.
     workers = min(config.parallelism, os.cpu_count() or 1, len(jobs))

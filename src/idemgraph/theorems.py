@@ -132,14 +132,12 @@ def recognize_all(g: Graph) -> dict[str, bool]:
 def verify_degree_formula(ring: FiniteRing, g: Graph) -> bool:
     """deg(x) = |Id(R)| - 1 when 2x is idempotent, else |Id(R)|.  2x is
     idempotent iff each 2x_k is an idempotent of its spec factor, so the
-    flags are read factor by factor and multiplied out in index order."""
+    flags are each factor's own (`FactorSpec.doubles_idempotent`),
+    multiplied out in index order."""
     n = len(idempotents(ring))
     doubles_idempotent = [True]
-    for k, f in enumerate(ring.spec.factors):
-        factor_ids = ring.factor_idempotents[k]
-        # tuple() of a list, not of a generator: this keeps the sweep's peak RSS about 1 MB lower
-        flags = [tuple([2 * c % f.modulus for c in a]) in factor_ids for a in ring.factor_elements[k]]
-        doubles_idempotent = [d and b for d in doubles_idempotent for b in flags]
+    for f in ring.spec.factors:
+        doubles_idempotent = [d and b for d in doubles_idempotent for b in f.doubles_idempotent]
     return list(g.degrees) == [n - 1 if d else n for d in doubles_idempotent]
 
 

@@ -196,6 +196,15 @@ LARGE_REPORT_SHA256 = {
     "GF(16)*GF(16)*GF(16)": "56c7d67dad5d6f67c47a5d4307ecdde592ef382e475c4bfcb7469fb71f94a8ff",
 }
 
+# sha256 of the complete stdout of the default `verify --json` sweep (403
+# rings), at --jobs 1 and 2, recorded at commit ee11cf1, before the sweep
+# shared one FactorSpec per catalog factor.  The two differ only in the
+# "parallelism" field of the config.
+VERIFY_REPORT_SHA256 = {
+    1: "6ae2a25ae3a6e9d49b4b875e627e0d13f0ef158921470bc31c45fd75c8ebd647",
+    2: "5f5336eecc8f0e275534e56d9af1357ec90104dacb27007aea2fe9bb99ed9ba4",
+}
+
 
 class TestSweep:
     def test_small_sweep_clean(self):
@@ -254,6 +263,53 @@ class TestSweep:
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
         run_sweep(SweepConfig(**cfg, parallelism=8))
         assert asked == [3, 3]
+
+    @pytest.mark.parametrize("jobs", sorted(VERIFY_REPORT_SHA256))
+    def test_default_sweep_json_pinned(self, jobs, capsys):
+        assert main(["verify", "--json", "--jobs", str(jobs)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == VERIFY_REPORT_SHA256[jobs]
+
+    def test_rings_share_one_factor_object_per_catalog_entry(self, monkeypatch):
+        jobs = []
+        classify_one = sweep._classify_one
+
+        def recording(args):
+            jobs.append(args)
+            return classify_one(args)
+
+        monkeypatch.setattr(sweep, "_classify_one", recording)
+        run_sweep(SweepConfig())
+        assert len(jobs) == 403
+        assert len({id(f) for spec, _ in jobs for f in spec.factors}) == len(DEFAULT_CATALOG) == 13
+
+    def test_spec_parses_scale_with_the_catalog_not_the_rings(self, monkeypatch):
+        from idemgraph import rings
+
+        calls = []
+        parse = rings.parse_ring_spec
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(rings, "parse_ring_spec", counting)
+        monkeypatch.setattr(sweep, "parse_ring_spec", counting)
+        per_sweep = []
+        for max_factors in (1, 3):
+            calls.clear()
+            rings_checked = run_sweep(SweepConfig(max_factors=max_factors))["rings_checked"]
+            per_sweep.append((rings_checked, len(calls)))
+        assert [n for n, _ in per_sweep] == [13, 403]
+        # validate(), the walk and the factor lookup parse each entry once
+        assert [c for _, c in per_sweep] == [3 * len(DEFAULT_CATALOG)] * 2
+
+    def test_no_factor_data_is_shared_across_parses(self):
+        from idemgraph.rings import parse_ring_spec
+
+        a, b = parse_ring_spec("Z4").factors[0], parse_ring_spec("Z4").factors[0]
+        assert a == b and a is not b
+        assert a.idempotents == b.idempotents and a.idempotents is not b.idempotents
 
     def test_summary_deterministic(self):
         a = summary_json(run_sweep(SweepConfig(max_ring_size=24, max_factors=2)))

@@ -16,7 +16,7 @@ from idemgraph.rings import (
     parse_ring_spec,
     primitive_idempotents,
 )
-from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
+from idemgraph.sweep import DEFAULT_CATALOG, SweepConfig, enumerate_sweep_specs
 from idemgraph.theorems import predict_all
 
 from helpers import sub, time_budget
@@ -292,9 +292,7 @@ class TestIdempotents:
     def test_factor_lists_are_the_projections_in_enumeration_order(self, spec):
         r = build_ring(spec)
         ids = scan_idempotents(r)
-        assert r.factor_idempotents is None
-        idempotents(r)
-        assert r.factor_idempotents == tuple(
+        assert tuple(f.idempotents for f in r.spec.factors) == tuple(
             tuple(sorted({e[k] for e in ids})) for k in range(len(r.spec.factors))
         )
 
@@ -305,6 +303,36 @@ class TestIdempotents:
             assert r.mul(e, e) == e
             comp = sub(r, r.one, e)
             assert r.mul(comp, comp) == comp
+
+
+# The catalog's local factors, non-local factors (two or three atoms, an
+# atom whose local factor is smaller than the factor) and the largest field.
+FACTOR_TEXTS = list(DEFAULT_CATALOG) + ["Z6", "Z12", "Z2[x]/(x^2 + x)", "GF(64)"]
+
+
+class TestFactorSpecData:
+    """Each FactorSpec fact against its whole-factor definition, read off
+    the one-factor ring: squaring, the minimality search, a full scan for
+    |R a|, repeated addition for the characteristic, and subtraction."""
+
+    @pytest.mark.parametrize("text", FACTOR_TEXTS)
+    def test_matches_one_factor_ring(self, text):
+        r = build_ring(text)
+        (f,) = r.spec.factors
+        # every coefficient vector once, in lexicographic order
+        assert len(f.elements) == f.size and list(f.elements) == sorted(set(f.elements))
+        assert all(len(a) == f.degree and 0 <= min(a) <= max(a) < f.modulus for a in f.elements)
+        ids = [x for x in r.elements if r.mul(x, x) == x]
+        assert f.idempotents == tuple(e for (e,) in ids)
+        assert f.atoms == tuple((p.idempotent[0], p.factor_size, p.factor_char) for p in scan_atoms(r))
+        assert f.doubles_idempotent == tuple(r.add(x, x) in ids for x in r.elements)
+        index = {x: i for i, x in enumerate(r.elements)}
+        assert f.offsets == tuple(tuple(index[sub(r, e, x)] for e in ids) for x in r.elements)
+
+    def test_computed_once_per_factor_object(self):
+        (f,) = parse_ring_spec("GF(8)").factors
+        for name in ("elements", "idempotents", "atoms", "doubles_idempotent", "offsets"):
+            assert getattr(f, name) is getattr(f, name)
 
 
 class TestAdditiveClosure:

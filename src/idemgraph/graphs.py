@@ -7,6 +7,8 @@ constructors used by the recognizer oracles, and DOT export.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .rings import FiniteRing, idempotents
 
 
@@ -18,14 +20,21 @@ class Graph:
     report read, so each is computed once: the degrees and edge count while
     the rows are validated, the components on first use.
 
-    The rows are validated in two passes.  The first rejects a bit at or
-    beyond n and a loop in any row.  The second checks symmetry, one of two
-    ways.  A dense graph, with more than 2 n b bits set (b the bit length
-    of n, so about b edges per vertex), is compared with its transpose,
-    computed in about (n / 2) b row steps.  If the two are equal, the edge
-    count is half the bit count.  A sparse graph, or a dense one that
-    differs from its transpose, is walked: one step per bit above the
-    diagonal, which names the first such bit found unmirrored."""
+    The rows are validated on one of three routes.  A graph of 2 to 512
+    vertices is first decided whole: with N the next power of two at or
+    above n (at least 8), the rows are packed into one int, row i at bit
+    i N, and checked for a negative row, a bit at or beyond n, a set
+    diagonal bit and symmetry, the last by Warren's transpose in log2 N
+    steps on the packed int (`packed_symmetric`).  If that passes, the
+    edge count is half the bit count.  Every other graph, and one that
+    fails there, is checked row by row: the first pass rejects a bit at or
+    beyond n and a loop in any row, naming the first such row.  The second
+    checks symmetry.  A dense graph, with more than 2 n b bits set (b the
+    bit length of n, so about b edges per vertex), is compared with its
+    transpose, computed in about (n / 2) b row steps.  A sparse graph, or
+    a dense one that differs from its transpose, is walked: one step per
+    bit above the diagonal, which names the first such bit found
+    unmirrored."""
 
     __slots__ = ("n", "rows", "degrees", "_edge_count", "_components")
 
@@ -34,18 +43,20 @@ class Graph:
         self.rows = rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"{len(rows)} rows for {n} vertices")
-        for i, r in enumerate(rows):
-            if r >> n:
-                raise ValueError(f"row {i} has bits beyond vertex count")
-            if r >> i & 1:
-                raise ValueError(f"loop at vertex {i}")
+        packed = packed_symmetric(n, rows)
+        if not packed:
+            for i, r in enumerate(rows):
+                if r >> n:
+                    raise ValueError(f"row {i} has bits beyond vertex count")
+                if r >> i & 1:
+                    raise ValueError(f"loop at vertex {i}")
         self.degrees = tuple(map(int.bit_count, rows))
         self._components = None
         bits = sum(self.degrees)
         # Symmetry.  The transpose costs about (n / 2) b row-pair steps
         # whatever the edge count, so it is tried only above 2 n b bits,
         # where a walk of one step per edge would cost more.
-        if bits > 2 * n * n.bit_length() and transpose(rows) == rows:
+        if packed or bits > 2 * n * n.bit_length() and transpose(rows) == rows:
             self._edge_count = bits // 2
             return
         # The walk: every bit above the diagonal is mirrored below it, and
@@ -112,6 +123,59 @@ def transpose(rows) -> tuple[int, ...]:
                 t[i + b] ^= d
         b >>= 1
     return tuple(t[:n])
+
+
+# Above 512 vertices the packed transpose, whose every step shifts the whole
+# N^2-bit int, is no longer clearly faster than the row-by-row checks.
+MAX_PACKED_VERTICES = 512
+
+
+def packed_symmetric(n: int, rows: tuple[int, ...]) -> bool:
+    """Whether the n rows, 2 <= n <= MAX_PACKED_VERTICES, form a loopless
+    symmetric 0/1 matrix with no bit at or beyond n; False for any other n.
+
+    The rows are packed into one int P, row i at bit offset i N for N the
+    next power of two at or above n, at least 8, so that each row is a
+    whole number of bytes.  Warren's transpose (Hacker's Delight, 2nd ed.,
+    section 7-3) then runs on P itself: at each scale b, bit (i, j) with
+    bit b clear in i and set in j swaps with bit (i + b, j - b), which lies
+    b (N - 1) places higher.  A negative row is rejected before packing,
+    where to_bytes would raise OverflowError."""
+    if not 2 <= n <= MAX_PACKED_VERTICES or min(rows) < 0 or max(rows) >> n:
+        return False
+    size = max(8, 1 << (n - 1).bit_length())
+    diagonal, steps = _packed_masks(size)
+    width = size // 8
+    p = int.from_bytes(b"".join([r.to_bytes(width, "little") for r in rows]), "little")
+    if p & diagonal:
+        return False
+    t = p
+    for s, m in steps:
+        d = ((t >> s) ^ t) & m
+        t ^= d ^ (d << s)
+    return t == p
+
+
+@cache
+def _packed_masks(size: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """For a size x size matrix packed as in `packed_symmetric`: the mask of
+    its diagonal, and for each scale b = size / 2, ..., 1 the shift
+    b (size - 1) with the mask of the bits (i, j), bit b clear in i and set
+    in j.  These depend only on size, a power of two, so at most seven
+    entries are ever made.  Each mask is laid out as bytes, row by row,
+    since big-int products and quotients of this length are far slower."""
+    width = size // 8
+    diagonal = bytearray(width * size)
+    for i in range(size):
+        diagonal[i * width + i // 8] = 1 << i % 8
+    steps = []
+    b = size >> 1
+    while b:
+        columns = ((1 << size) - 1) // ((1 << 2 * b) - 1) * ((1 << b) - 1) << b
+        block = columns.to_bytes(width, "little") * b + bytes(width * b)
+        steps.append((b * (size - 1), int.from_bytes(block * (size // (2 * b)), "little")))
+        b >>= 1
+    return int.from_bytes(diagonal, "little"), tuple(steps)
 
 
 def graph_from_edges(n: int, edges) -> Graph:

@@ -103,7 +103,8 @@ def run_sweep(config: SweepConfig) -> dict:
     The rings are built from one FactorSpec per catalog factor, so each
     factor's own facts (its elements, idempotents, atoms, doubling flags
     and offsets) are computed once per sweep, not once per ring.  A worker
-    process gets its own copy of the factors of each job it runs."""
+    process gets its own copy of the factors of each chunk of jobs it
+    runs."""
     config.validate()
     specs = enumerate_sweep_specs(config)
     if not specs:
@@ -118,8 +119,13 @@ def run_sweep(config: SweepConfig) -> dict:
     # there are CPUs or rings.
     workers = min(config.parallelism, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        # Each chunk of jobs is pickled as one object, so its jobs share
+        # their FactorSpec objects in the worker, and a worker analyses
+        # each factor once per chunk, not once per ring.  Four chunks per
+        # worker, not one, so that a worker that finishes early takes more.
+        chunk = -(-len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_classify_one, jobs))
+            reports = list(pool.map(_classify_one, jobs, chunksize=chunk))
     else:
         reports = [_classify_one(j) for j in jobs]
     reports.sort(key=lambda r: r["spec"])

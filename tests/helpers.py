@@ -39,6 +39,32 @@ def has_edge(g: Graph, i: int, j: int) -> bool:
     return bool(g.rows[i] >> j & 1)
 
 
+def reference_graph_check(n: int, rows) -> tuple[tuple[int, ...], int]:
+    """The checks of `Graph(n, rows)` as a plain pair scan, raising the same
+    ValueError texts in the same order: the row count, then row by row a bit
+    outside [0, n) and a loop, then the pairs above the diagonal (rows
+    ascending, columns descending), then those below.  For valid rows it
+    returns the degrees and the edge count."""
+    if len(rows) != n:
+        raise ValueError(f"{len(rows)} rows for {n} vertices")
+    for i, r in enumerate(rows):
+        if not 0 <= r < 1 << n:
+            raise ValueError(f"row {i} has bits beyond vertex count")
+        if r >> i & 1:
+            raise ValueError(f"loop at vertex {i}")
+    bit = [format(r, f"0{n}b")[::-1] for r in rows]  # bit[i][j] is bit j of row i
+    for i in range(n):
+        for j in range(n - 1, i, -1):
+            if bit[i][j] == "1" and bit[j][i] == "0":
+                raise ValueError(f"asymmetric adjacency at ({i}, {j})")
+    for i in range(n):
+        for j in range(i):
+            if bit[i][j] == "1" and bit[j][i] == "0":
+                raise ValueError("asymmetric adjacency below the diagonal")
+    edges = sum(bit[i][j] == "1" for i in range(n) for j in range(i + 1, n))
+    return tuple(b.count("1") for b in bit), edges
+
+
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, [full & ~(1 << i) for i in range(n)])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -243,7 +244,7 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
@@ -282,6 +283,37 @@ class TestSweep:
         run_sweep(SweepConfig())
         assert len(jobs) == 403
         assert len({id(f) for spec, _ in jobs for f in spec.factors}) == len(DEFAULT_CATALOG) == 13
+
+    def test_a_chunk_of_jobs_shares_its_factors(self, monkeypatch):
+        chunks = []
+
+        class PicklingPool:
+            # stands in for ProcessPoolExecutor, which pickles each chunk of
+            # jobs as one object: copies every chunk that way and runs its
+            # jobs in this process
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                jobs = list(jobs)
+                for lo in range(0, len(jobs), chunksize):
+                    chunks.append(pickle.loads(pickle.dumps(jobs[lo:lo + chunksize])))
+                return map(fn, itertools.chain.from_iterable(chunks))
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        assert run_sweep(SweepConfig(parallelism=2))["rings_checked"] == 403
+        # four chunks per worker, each with one object per distinct factor
+        assert [len(c) for c in chunks] == [51] * 7 + [46]
+        for chunk in chunks:
+            factors = [f for spec, _ in chunk for f in spec.factors]
+            assert len({id(f) for f in factors}) == len(set(factors)) <= len(DEFAULT_CATALOG)
 
     def test_spec_parses_scale_with_the_catalog_not_the_rings(self, monkeypatch):
         from idemgraph import rings

@@ -13,6 +13,7 @@ from idemgraph.graphs import (
     graph_from_edges,
     is_path_graph,
     masked_components,
+    packed_symmetric,
     set_bits,
     transpose,
 )
@@ -27,6 +28,7 @@ from helpers import (
     graphs,
     has_edge,
     random_graphs,
+    reference_graph_check,
 )
 
 
@@ -35,7 +37,8 @@ def census_set(g):
 
 
 def is_dense(g):
-    """Whether Graph checks g's symmetry against the transpose first."""
+    """Whether Graph, when the packed check does not decide g, compares g's
+    rows with their transpose before it walks them."""
     return sum(g.degrees) > 2 * g.n * g.n.bit_length()
 
 
@@ -84,6 +87,15 @@ class TestGraphType:
         expected = "below the diagonal" if i < j else f"at ({j}, {i})"
         assert str(raised.value) == f"asymmetric adjacency {expected}"
 
+    @pytest.mark.parametrize("n", [2, 9, 512, 513])
+    def test_names_a_loop_at_the_first_and_the_last_vertex(self, n):
+        for v in (0, n - 1):
+            rows = list(complete_graph(n).rows)
+            rows[v] |= 1 << v
+            with pytest.raises(ValueError) as raised:
+                Graph(n, rows)
+            assert str(raised.value) == f"loop at vertex {v}"
+
     def test_degree_sum_is_twice_edges(self):
         g = complete_bipartite_graph(2, 3)
         assert sum(g.degrees) == 2 * g.edge_count()
@@ -104,17 +116,24 @@ def test_transpose_matches_a_bit_by_bit_reference(n):
 
 
 class TestSymmetryPath:
-    """Graph compares a dense graph's rows with their transpose, and walks
+    """Graph decides a graph of 2 to 512 vertices on its packed matrix,
+    compares a larger dense graph's rows with their transpose, and walks
     the bits above the diagonal of every other graph."""
 
     @pytest.fixture
-    def transposed(self, monkeypatch):
-        seen = []
+    def routes(self, monkeypatch):
+        seen = {"packed": [], "transposed": []}
+
+        def packed(n, rows):
+            decided = packed_symmetric(n, rows)
+            seen["packed"].append((n, decided))
+            return decided
 
         def counted(rows):
-            seen.append(len(rows))
+            seen["transposed"].append(len(rows))
             return transpose(rows)
 
+        monkeypatch.setattr("idemgraph.graphs.packed_symmetric", packed)
         monkeypatch.setattr("idemgraph.graphs.transpose", counted)
         return seen
 
@@ -123,16 +142,103 @@ class TestSymmetryPath:
         [lambda: complete_graph(16), lambda: build_idempotent_graph(build_ring("Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2"))],
         ids=["K16", "Z2^8"],
     )
-    def test_dense_graphs_are_transposed_once(self, transposed, make):
+    def test_small_dense_graphs_take_the_packed_check(self, routes, make):
         g = make()
-        assert is_dense(g) and transposed == [g.n]
+        assert routes == {"packed": [(g.n, True)], "transposed": []}
         assert g.edge_count() == g.n * (g.n - 1) // 2
 
-    def test_sparse_graphs_are_walked(self, transposed):
-        for spec in ["GF(16)*GF(16)*GF(16)", *enumerate_sweep_specs(SweepConfig())]:
-            g = build_idempotent_graph(build_ring(spec))
-            assert not is_dense(g)
-        assert transposed == []
+    def test_every_default_sweep_graph_takes_the_packed_check(self, routes):
+        built = [build_idempotent_graph(build_ring(spec)) for spec in enumerate_sweep_specs(SweepConfig())]
+        assert len(built) == 403
+        assert routes == {"packed": [(g.n, True) for g in built], "transposed": []}
+
+    def test_large_dense_graphs_are_transposed_once(self, routes):
+        g = build_idempotent_graph(build_ring("Z4*Z4*Z4*Z4*Z4*Z4"))
+        assert is_dense(g) and routes == {"packed": [(4096, False)], "transposed": [4096]}
+
+    @pytest.mark.parametrize("spec", ["GF(16)*GF(16)*GF(16)", "GF(64)*GF(64)"])
+    def test_large_sparse_graphs_are_walked(self, routes, spec):
+        g = build_idempotent_graph(build_ring(spec))
+        assert not is_dense(g) and routes == {"packed": [(4096, False)], "transposed": []}
+
+
+def random_symmetric_rows(n, rnd, density):
+    """The rows of a random loopless graph on n vertices, each pair an edge
+    with probability density / 8, for density in {0, 1, 4, 7, 8}; the bits
+    above the diagonal are mirrored below through bit strings."""
+    upper = []
+    for i in range(n):
+        a, b, c = (rnd.getrandbits(n) for _ in range(3))
+        r = {0: 0, 1: a & b & c, 4: a, 7: a | b | c, 8: -1}[density]
+        upper.append(r & ((1 << n) - 1) >> (i + 1) << (i + 1))
+    strings = [format(u, f"0{n}b")[::-1] for u in upper]
+    lower = [int("".join(column)[::-1], 2) for column in zip(*strings)]
+    return [u | w for u, w in zip(upper, lower)]
+
+
+def inject(rows, fault, rnd):
+    """rows with one fault of the named kind, or None where n is too small
+    for it: a bit at or beyond n, a negative row, a loop, a bit (i, j) above
+    the diagonal or one below it without its mirror, or one row too many or
+    too few."""
+    n = len(rows)
+    rows = list(rows)
+    if fault is None:
+        return rows
+    if fault == "count":
+        return rows + [0] if not n or rnd.random() < 0.5 else rows[:-1]
+    if n < (2 if fault in ("upper", "lower") else 1):
+        return None
+    i = rnd.randrange(n)
+    if fault == "beyond":
+        rows[i] |= 1 << (n + rnd.randrange(3))
+    elif fault == "negative":
+        rows[i] = ~rows[i]
+    elif fault == "loop":
+        rows[i] |= 1 << i
+    else:
+        i, j = sorted(rnd.sample(range(n), 2))
+        if fault == "lower":
+            i, j = j, i
+        rows[i] |= 1 << j
+        rows[j] &= ~(1 << i)
+    return rows
+
+
+def outcome(check, n, rows):
+    """What check(n, rows) gives: its value, or the text of its ValueError."""
+    try:
+        return check(n, rows)
+    except ValueError as e:
+        return str(e)
+
+
+def graph_facts(n, rows):
+    g = Graph(n, rows)
+    return g.degrees, g.edge_count()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 255, 256, 257, 511, 512, 513])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32), density=st.sampled_from([0, 1, 4, 7, 8]))
+def test_graph_checks_match_a_pair_scan(n, seed, density):
+    # each fault in turn on one random graph; the packed check covers
+    # 2 <= n <= 512, and 0, 1 and 513 stay on the row-by-row checks
+    rnd = random.Random(seed)
+    rows = random_symmetric_rows(n, rnd, density)
+    for fault in (None, "beyond", "negative", "loop", "upper", "lower", "count"):
+        bad = inject(rows, fault, rnd)
+        if bad is not None:
+            assert outcome(graph_facts, n, bad) == outcome(reference_graph_check, n, bad), fault
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_a_negative_row_is_a_bit_beyond_the_vertex_count(n):
+    rows = list(complete_graph(n).rows)
+    rows[1] = -rows[1]
+    with pytest.raises(ValueError) as raised:
+        Graph(n, rows)
+    assert str(raised.value) == "row 1 has bits beyond vertex count"
 
 
 def assert_stored_invariants_match_rows(g):

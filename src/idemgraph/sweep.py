@@ -161,8 +161,64 @@ def run_sweep(config: SweepConfig) -> dict:
 
 
 def summary_json(summary: dict) -> str:
-    """The one JSON layout, for a sweep summary and for a single report."""
-    return json.dumps(summary, indent=2, sort_keys=True)
+    """The one JSON layout, for a sweep summary and for a single report:
+    exactly the text of json.dumps(summary, indent=2, sort_keys=True),
+    written without the pure-Python encoder that json.dumps falls back to
+    when indent is set.
+
+    Keys are sorted, each level is indented two spaces, items are separated
+    by ",\n" and the indent, and a key is followed by ": ".  Strings and keys
+    go through the C encode_basestring_ascii, as with ensure_ascii; ints are
+    written by int.__repr__, tuples as lists.  The reports hold only dicts,
+    lists, str, int, bool and None, so a float, a non-str key or any other
+    type raises TypeError rather than being written in some other way.  Each container is returned as one
+    joined string, so a dict of scalars never becomes a list of pieces."""
+    return _json_text(summary, "\n", _KeyTexts())
+
+
+_encode = json.encoder.encode_basestring_ascii
+
+# The text of each scalar, by exact type: bool is its own type here, so True
+# never takes the int route, and any other type, a float or a subclass of
+# str or int among them, raises TypeError.
+_SCALAR_TEXT = {
+    str: _encode,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+class _KeyTexts(dict):
+    """Each key's text with its ": ", encoded once per call of summary_json."""
+
+    def __missing__(self, key):
+        text = self[key] = _encode(key) + ": "
+        return text
+
+
+def _json_text(value, indent: str, keys: _KeyTexts) -> str:
+    scalar = _SCALAR_TEXT.get
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            keys[k] + (text(v) if (text := scalar(type(v := value[k]))) else _json_text(v, inner, keys))
+            for k in sorted(value)
+        ]) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            text(v) if (text := scalar(type(v))) else _json_text(v, inner, keys)
+            for v in value
+        ]) + indent + "]"
+    text = scalar(type(value))
+    if text is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return text(value)
 
 
 def load_catalog_file(path: str) -> tuple[str, ...]:

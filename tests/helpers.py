@@ -1,6 +1,7 @@
 """Graph constructors, oracles and tools that only the tests use."""
 
 import itertools
+import json
 import random
 import signal
 from contextlib import contextmanager
@@ -28,6 +29,12 @@ def time_budget(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def reference_json(obj) -> str:
+    """The text `summary_json` must write, from the standard library's
+    pure-Python indent encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def sub(ring, x, y):

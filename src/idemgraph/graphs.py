@@ -20,21 +20,21 @@ class Graph:
     report read, so each is computed once: the degrees and edge count while
     the rows are validated, the components on first use.
 
-    The rows are validated on one of three routes.  A graph is dense if
-    it has more than 2 n b bits set (b the bit length of n, so about b
-    edges per vertex).  A graph of 2 to 512 vertices, and a dense one of
-    513 to 1,024, is first decided whole: with N the next power of two at
-    or above n (at least 8), the rows are packed into one int, row i at
-    bit i N, and checked for a negative row, a bit at or beyond n, a set
+    The rows are validated on one of three routes.  A graph of 2 to 512
+    vertices is first decided whole: with N the next power of two at or
+    above n (at least 8), the rows are packed into one int, row i at bit
+    i N, and checked for a negative row, a bit at or beyond n, a set
     diagonal bit and symmetry, the last by Warren's transpose in log2 N
     steps on the packed int (`packed_symmetric`).  If that passes, the
     edge count is half the bit count.  Every other graph, and one that
     fails there, is checked row by row: the first pass rejects a bit at or
     beyond n and a loop in any row, naming the first such row.  The second
-    checks symmetry.  A dense graph is compared with its transpose,
-    computed in about (n / 2) b row steps.  A sparse graph, or a dense one
-    that differs from its transpose, is walked: one step per bit above
-    the diagonal, which names the first such bit found unmirrored."""
+    checks symmetry.  A dense graph, with more than 2 n b bits set (b the
+    bit length of n, so about b edges per vertex), is compared with its
+    transpose, computed in about (n / 2) b row steps.  A sparse graph, or
+    a dense one that differs from its transpose, is walked: one step per
+    bit above the diagonal, which names the first such bit found
+    unmirrored."""
 
     __slots__ = ("n", "rows", "degrees", "_edge_count", "_components")
 
@@ -43,22 +43,20 @@ class Graph:
         self.rows = rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"{len(rows)} rows for {n} vertices")
-        self.degrees = tuple(map(int.bit_count, rows))
-        self._components = None
-        bits = sum(self.degrees)
-        # The transpose costs about (n / 2) b row-pair steps whatever the
-        # edge count, so it is tried only above 2 n b bits, where a walk of
-        # one step per edge would cost more; above 512 vertices the same
-        # rule decides whether the packed check is tried.
-        dense = bits > 2 * n * n.bit_length()
-        packed = (n <= MAX_SPARSE_PACKED_VERTICES or dense) and packed_symmetric(n, rows)
+        packed = packed_symmetric(n, rows)
         if not packed:
             for i, r in enumerate(rows):
                 if r >> n:
                     raise ValueError(f"row {i} has bits beyond vertex count")
                 if r >> i & 1:
                     raise ValueError(f"loop at vertex {i}")
-        if packed or dense and transpose(rows) == rows:
+        self.degrees = tuple(map(int.bit_count, rows))
+        self._components = None
+        bits = sum(self.degrees)
+        # Symmetry.  The transpose costs about (n / 2) b row-pair steps
+        # whatever the edge count, so it is tried only above 2 n b bits,
+        # where a walk of one step per edge would cost more.
+        if packed or bits > 2 * n * n.bit_length() and transpose(rows) == rows:
             self._edge_count = bits // 2
             return
         # The walk: every bit above the diagonal is mirrored below it, and
@@ -127,11 +125,9 @@ def transpose(rows) -> tuple[int, ...]:
     return tuple(t[:n])
 
 
-# Each step of the packed transpose shifts the whole N^2-bit int, whatever
-# the edge count.  Up to 512 vertices it beats the row-by-row checks on any
-# graph, up to 1,024 only on a dense one, and above that on none.
-MAX_SPARSE_PACKED_VERTICES = 512
-MAX_PACKED_VERTICES = 1024
+# Above 512 vertices the packed transpose, whose every step shifts the whole
+# N^2-bit int, is no longer clearly faster than the row-by-row checks.
+MAX_PACKED_VERTICES = 512
 
 
 def packed_symmetric(n: int, rows: tuple[int, ...]) -> bool:
@@ -165,7 +161,7 @@ def _packed_masks(size: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """For a size x size matrix packed as in `packed_symmetric`: the mask of
     its diagonal, and for each scale b = size / 2, ..., 1 the shift
     b (size - 1) with the mask of the bits (i, j), bit b clear in i and set
-    in j.  These depend only on size, a power of two, so at most eight
+    in j.  These depend only on size, a power of two, so at most seven
     entries are ever made.  Each mask is laid out as bytes, row by row,
     since big-int products and quotients of this length are far slower."""
     width = size // 8

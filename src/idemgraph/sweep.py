@@ -171,9 +171,10 @@ def summary_json(summary: dict) -> str:
     go through the C encode_basestring_ascii, as with ensure_ascii; ints are
     written by int.__repr__, tuples as lists.  The reports hold only dicts,
     lists, str, int, bool and None, so a float, a non-str key or any other
-    type raises TypeError rather than being written in some other way.  Each container is returned as one
-    joined string, so a dict of scalars never becomes a list of pieces."""
-    return _json_text(summary, "\n", _KeyTexts())
+    type raises TypeError rather than being written in some other way.
+    Each container is returned as one joined string, so a dict of scalars
+    never becomes a list of pieces."""
+    return _json_text(summary, "\n")
 
 
 _encode = json.encoder.encode_basestring_ascii
@@ -189,22 +190,14 @@ _SCALAR_TEXT = {
 }
 
 
-class _KeyTexts(dict):
-    """Each key's text with its ": ", encoded once per call of summary_json."""
-
-    def __missing__(self, key):
-        text = self[key] = _encode(key) + ": "
-        return text
-
-
-def _json_text(value, indent: str, keys: _KeyTexts) -> str:
+def _json_text(value, indent: str) -> str:
     scalar = _SCALAR_TEXT.get
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
         return "{" + inner + ("," + inner).join([
-            keys[k] + (text(v) if (text := scalar(type(v := value[k]))) else _json_text(v, inner, keys))
+            _encode(k) + ": " + (text(v) if (text := scalar(type(v := value[k]))) else _json_text(v, inner))
             for k in sorted(value)
         ]) + indent + "}"
     if isinstance(value, (list, tuple)):
@@ -212,7 +205,7 @@ def _json_text(value, indent: str, keys: _KeyTexts) -> str:
             return "[]"
         inner = indent + "  "
         return "[" + inner + ("," + inner).join([
-            text(v) if (text := scalar(type(v))) else _json_text(v, inner, keys)
+            text(v) if (text := scalar(type(v))) else _json_text(v, inner)
             for v in value
         ]) + indent + "]"
     text = scalar(type(value))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .rings import FiniteRing, idempotents
+from .rings import FiniteRing, RingSpec, idempotents
 
 
 class Graph:
@@ -204,6 +204,15 @@ def two_k2() -> Graph:
     return graph_from_edges(4, [(0, 1), (2, 3)])
 
 
+def graph_key(spec: RingSpec) -> tuple:
+    """Everything `build_idempotent_graph` reads of a ring with this spec:
+    each factor's `FactorSpec.offsets` and `FactorSpec.doubles_idempotent`,
+    in factor order.  Rings with equal keys therefore have equal rows, so
+    one graph serves them all; factors with equal keys, such as GF(4) and
+    Z2[x]/(x^2), have the same additive group with the 1 in the same place."""
+    return tuple((f.offsets, f.doubles_idempotent) for f in spec.factors)
+
+
 def build_idempotent_graph(ring: FiniteRing) -> Graph:
     """Vertices are ring elements in enumeration order; x ~ y iff x + y is
     idempotent (x != y; no loops even when 2x is idempotent).
@@ -225,6 +234,9 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     are cleared by XOR on just those rows, whose indices are built factor by
     factor as the rows are.  A flag wrong either way leaves a diagonal bit
     set, which `Graph` rejects as a loop.
+
+    Nothing else of the ring is read (`graph_key` lists what is), so a
+    builder that comes to read more must add it to the key.
     """
     idempotents(ring)  # the ring's idempotent set, which every report reads; perfbench counts this call
     rows = [1]  # the product of no factors: one element, adjacent to itself

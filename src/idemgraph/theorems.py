@@ -162,11 +162,17 @@ def _tristate(v: bool | None) -> str:
     return "not-applicable" if v is None else ("true" if v else "false")
 
 
-def cross_validate(ring: FiniteRing, g: Graph) -> dict:
+def cross_validate(ring: FiniteRing, g: Graph, recognized: dict[str, bool] | None = None) -> dict:
     """Run every recognizer and predicate on the ring's idempotent graph g
     and report, as a JSON-ready dict, any disagreement between a prediction
-    and the graph verdict."""
-    recognized = recognize_all(g)
+    and the graph verdict.
+
+    `recognized` is `recognize_all(g)`, computed here unless the caller
+    has it already for a g it shares among rings; the report gets its own
+    copy.  The degree check always reads the ring's own doubling flags, so
+    a shared g whose degrees are not this ring's shows as a degree-formula
+    mismatch."""
+    recognized = recognize_all(g) if recognized is None else dict(recognized)
     profiles = primitive_idempotents(ring)
     predicted = predict_all(ring, profiles)
     census = component_census(g)

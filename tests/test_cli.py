@@ -15,7 +15,7 @@ import pytest
 from idemgraph import cli, selftest, sweep
 from idemgraph.cli import main
 from idemgraph.graphs import build_idempotent_graph
-from idemgraph.rings import FiniteRing, build_ring
+from idemgraph.rings import FiniteRing, build_ring, format_ring_spec
 from idemgraph.theorems import PROPERTIES, cross_validate
 from idemgraph.sweep import (
     DEFAULT_CATALOG,
@@ -281,8 +281,44 @@ class TestSweep:
 
         monkeypatch.setattr(sweep, "_classify_one", recording)
         run_sweep(SweepConfig())
-        assert len(jobs) == 403
-        assert len({id(f) for spec, _ in jobs for f in spec.factors}) == len(DEFAULT_CATALOG) == 13
+        # one job per distinct graph, together holding each ring once
+        assert len(jobs) == 222
+        specs = [spec for group, _ in jobs for spec in group]
+        assert sorted(map(format_ring_spec, specs)) == enumerate_sweep_specs(SweepConfig())
+        assert len({id(f) for spec in specs for f in spec.factors}) == len(DEFAULT_CATALOG) == 13
+
+    def test_rings_share_a_graph_exactly_when_their_rows_are_equal(self, monkeypatch):
+        built = []
+        jobs = []
+        build, classify_one = sweep.build_idempotent_graph, sweep._classify_one
+
+        def building(ring):
+            built.append(build(ring))
+            return built[-1]
+
+        def recording(args):
+            built.clear()
+            reports = classify_one(args)
+            jobs.append((args[0], list(built)))
+            return reports
+
+        monkeypatch.setattr(sweep, "build_idempotent_graph", building)
+        monkeypatch.setattr(sweep, "_classify_one", recording)
+        # a second sweep builds every graph again: nothing is kept between calls
+        for _ in range(2):
+            jobs.clear()
+            run_sweep(SweepConfig())
+            by_rows = {}
+            for group, graphs in jobs:
+                assert len(graphs) == 1
+                for spec in group:
+                    rows = build_idempotent_graph(build_ring(spec)).rows
+                    assert rows == graphs[0].rows
+                    by_rows.setdefault(rows, []).append(spec)
+            # each job has one rows tuple, so as many jobs as distinct rows
+            # means that no two jobs share one
+            assert len(jobs) == len(by_rows) == 222
+            assert sum(map(len, by_rows.values())) == 403
 
     def test_a_chunk_of_jobs_shares_its_factors(self, monkeypatch):
         chunks = []
@@ -310,9 +346,9 @@ class TestSweep:
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         assert run_sweep(SweepConfig(parallelism=2))["rings_checked"] == 403
         # four chunks per worker, each with one object per distinct factor
-        assert [len(c) for c in chunks] == [51] * 7 + [46]
+        assert [len(c) for c in chunks] == [28] * 7 + [26]
         for chunk in chunks:
-            factors = [f for spec, _ in chunk for f in spec.factors]
+            factors = [f for group, _ in chunk for spec in group for f in spec.factors]
             assert len({id(f) for f in factors}) == len(set(factors)) <= len(DEFAULT_CATALOG)
 
     def test_spec_parses_scale_with_the_catalog_not_the_rings(self, monkeypatch):
@@ -467,6 +503,34 @@ class TestCli:
         path.write_text("Z2\nGF(9)\n")
         assert main(["verify", "--catalog", str(path), "--max-size", "8"]) == 0
         assert "rings checked      3 (2 products)" in capsys.readouterr().out
+
+    def test_verify_graph_twins_get_equal_verdicts(self, tmp_path, capsys):
+        # GF(4) and Z2[x]/(x^2) have one graph, and so do the products that
+        # put them at the same place; Z4 has as many elements but its own
+        path = tmp_path / "catalog.txt"
+        path.write_text("GF(4)\nZ2[x]/(x^2)\nZ2\nZ4\n")
+        outs = []
+        for jobs in (1, 2):
+            assert main(["verify", "--catalog", str(path), "--json", "--jobs", str(jobs)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].count('"parallelism": 1') == 1
+        assert outs[1] == outs[0].replace('"parallelism": 1', '"parallelism": 2')
+        summary = json.loads(outs[0])
+        reports = {r["spec"]: r for r in summary["reports"]}
+        assert len(reports) == summary["rings_checked"] == 34
+        twins = {}
+        for spec in reports:
+            twins.setdefault(build_idempotent_graph(build_ring(spec)).rows, []).append(spec)
+        # the report names GF(4) by its canonical spec
+        gf4 = "Z2[x]/(x^2 + x + 1)"
+        assert [gf4, "Z2[x]/(x^2)"] in twins.values()
+        assert [f"{gf4} * Z4", "Z2[x]/(x^2) * Z4"] in twins.values()
+        assert len(twins) < len(reports)
+        for specs in twins.values():
+            for spec in specs[1:]:
+                assert reports[spec]["graph"] == reports[specs[0]]["graph"]
+                assert reports[spec]["recognized"] == reports[specs[0]]["recognized"]
+        assert reports["Z4"]["graph"] != reports[gf4]["graph"]
 
     def test_verify_empty_sweep_exit_1(self, tmp_path, capsys):
         path = tmp_path / "catalog.txt"

@@ -1,7 +1,8 @@
 """Brute-force oracles for the fast recognizers.
 
 Two engines: an induced-subgraph search (backtracking over bitset
-candidate masks) for the forbidden-pattern classes, and an exhaustive
+candidate masks, with each pattern's symmetries broken) for the
+forbidden-pattern classes, and an exhaustive
 minor search (contraction recursion over bitset rows, with memoization)
 for planarity and outerplanarity.  Both are deliberately independent of
 the decision procedures in `recognizers`.
@@ -10,8 +11,7 @@ the decision procedures in `recognizers`.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache
 
 from .graphs import Graph, cycle_graph, path_graph, two_k2
 
@@ -24,10 +24,11 @@ class OracleSizeError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _match_plan(prows: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _match_plan(prows: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     # Match the most constrained pattern vertex first: the one with the
     # most edges to the vertices already placed, then the highest degree.
-    # Step i is (degree, bitmask over the steps j < i it is adjacent to).
+    # Step i is (degree, bitmask over the steps j < i it is adjacent to,
+    # bitmask over the steps j < i whose images its image must exceed).
     k = len(prows)
     order: list[int] = []
     placed = 0
@@ -38,8 +39,22 @@ def _match_plan(prows: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         )
         order.append(best)
         placed |= 1 << best
+    # Symmetry breaking (Grochow and Kellis, RECOMB 2007): under the
+    # automorphisms that fix the steps before step j, step j's vertex gets
+    # the least image in its orbit.  Every copy of the pattern then matches
+    # exactly once, not once per automorphism.
+    step = {u: i for i, u in enumerate(order)}
+    autos = [
+        p for p in itertools.permutations(range(k))
+        if all(((prows[p[u]] >> p[w]) & 1) == ((prows[u] >> w) & 1) for u in range(k) for w in range(u))
+    ]
+    above = [0] * k
+    for j, u in enumerate(order):
+        for w in {p[u] for p in autos} - {u}:
+            above[step[w]] |= 1 << j
+        autos = [p for p in autos if p[u] == u]
     return tuple(
-        (prows[u].bit_count(), sum(1 << j for j in range(i) if (prows[u] >> order[j]) & 1))
+        (prows[u].bit_count(), sum(1 << j for j in range(i) if (prows[u] >> order[j]) & 1), above[i])
         for i, u in enumerate(order)
     )
 
@@ -49,8 +64,9 @@ def find_induced(g: Graph, pattern: Graph) -> frozenset[int] | None:
 
     Exhaustive backtracking; pattern vertices are matched most-constrained
     first (the order is computed once per pattern) and candidates pruned by
-    degree and exact adjacency to the already-matched vertices (induced, so
-    non-edges must match too).
+    degree, exact adjacency to the already-matched vertices (induced, so
+    non-edges must match too) and the pattern's symmetry-breaking order, so
+    each vertex set is tried once.
     """
     k = pattern.n
     if k > MAX_PATTERN_VERTICES:
@@ -65,10 +81,12 @@ def find_induced(g: Graph, pattern: Graph) -> frozenset[int] | None:
     def rec(step: int, used: int) -> frozenset[int] | None:
         if step == k:
             return frozenset(matched)
-        deg, adj = plan[step]
+        deg, adj, above = plan[step]
         cand = full & ~used
         for j, gv in enumerate(matched):
             cand &= rows[gv] if (adj >> j) & 1 else ~rows[gv]
+            if (above >> j) & 1:
+                cand &= -2 << gv
         while cand:
             low = cand & -cand
             cand ^= low
@@ -91,8 +109,26 @@ _SPLIT_PATTERNS = (_2K2, _C4, cycle_graph(5))
 _THRESHOLD_PATTERNS = (_P4, _C4, _2K2)
 
 
+# The graph of the last forbidden-pattern query and its searches, keyed by
+# pattern rows.  The split, threshold and cograph oracles share C4, 2K2 and
+# P4, and selftest asks all three about one graph in turn; a query about
+# any other graph object starts afresh.
+_last_searches: tuple[Graph | None, dict[tuple[int, ...], frozenset[int] | None]] = (None, {})
+
+
+def _search(g: Graph, pattern: Graph) -> frozenset[int] | None:
+    global _last_searches
+    graph, hits = _last_searches
+    if graph is not g:
+        hits = {}
+        _last_searches = (g, hits)
+    if pattern.rows not in hits:
+        hits[pattern.rows] = find_induced(g, pattern)
+    return hits[pattern.rows]
+
+
 def _first_induced(g: Graph, patterns: tuple[Graph, ...]) -> frozenset[int] | None:
-    return next((hit for p in patterns if (hit := find_induced(g, p)) is not None), None)
+    return next((hit for p in patterns if (hit := _search(g, p)) is not None), None)
 
 
 def split_oracle(g: Graph) -> frozenset[int] | None:
@@ -107,31 +143,35 @@ def threshold_oracle(g: Graph) -> frozenset[int] | None:
 
 def cograph_oracle(g: Graph) -> frozenset[int] | None:
     """An induced P_4 if one exists."""
-    return find_induced(g, _P4)
+    return _search(g, _P4)
 
 
 # --- minor search ---------------------------------------------------------
 
 def _contract(rows: dict[int, int], u: int, v: int) -> int:
     # Merge block v into block u (u < v, so u stays the representative).
-    # Returns the blocks whose row changed: u and v's other neighbours.
+    # Returns the blocks whose degree changed: u and the common neighbours,
+    # which lose their edge to v.  v's other neighbours only trade v for u,
+    # and a degree-2 pair one of them newly forms with u is found from u.
     bu, bv = 1 << u, 1 << v
+    ru = rows[u]
     rv = rows.pop(v)
-    rows[u] = (rows[u] | rv) & ~(bu | bv)
-    rest = changed = rv & ~bu
+    rows[u] = (ru | rv) & ~(bu | bv)
+    rest = rv & ~bu
     while rest:
         low = rest & -rest
         w = low.bit_length() - 1
         rows[w] = rows[w] & ~bv | bu
         rest ^= low
-    return changed | bu
+    return rv & ru | bu
 
 
 def _simplify(rows: dict[int, int], suppress_deg2: bool, work: int) -> None:
     # Delete vertices of degree <= 1 and contract each vertex of degree 2
     # into its lower neighbour, or, unless suppression is allowed, only into
-    # a neighbour that also has degree 2.  Only a block whose row changed
-    # can newly qualify, so `work` holds those blocks and grows as it goes.
+    # a neighbour that also has degree 2.  Only a block whose degree changed,
+    # or a merged block with new neighbours, can newly qualify, so `work`
+    # holds those blocks and grows as it goes.
     while work:
         low = work & -work
         work ^= low
@@ -171,8 +211,20 @@ def _has_clique(rows: dict[int, int], k: int) -> bool:
 def _has_complete_bipartite(rows: dict[int, int], a: int, b: int) -> bool:
     # Subgraph (not induced): a vertices with >= b common neighbors.  With
     # no loops, the common neighbors of a set never include the set itself.
+    # A set grows one row at a time and is dropped once its common
+    # neighbours fall below b, since another row can only remove some.
     wide = [r for r in rows.values() if r.bit_count() >= b]
-    return any(reduce(and_, combo).bit_count() >= b for combo in itertools.combinations(wide, a))
+
+    def grow(start: int, common: int, need: int) -> bool:
+        if need == 0:
+            return True
+        for i in range(start, len(wide) - need + 1):
+            both = common & wide[i]
+            if both.bit_count() >= b and grow(i + 1, both, need - 1):
+                return True
+        return False
+
+    return grow(0, -1, a)
 
 
 _TARGETS = {

@@ -13,13 +13,13 @@ import random
 from .graphs import Graph, graph_from_edges
 from .theorems import PROPERTIES
 
-# The 33,868 labeled graphs on at most 6 vertices took 7.3 to 7.9 s of
+# The 33,868 labeled graphs on at most 6 vertices took 5.4 to 5.6 s of
 # process time on a 2-CPU machine with Python 3.11.  n = 7 adds 2,097,152
-# graphs at 0.25 to 0.30 ms each (a uniform sample of 5,000), about 10 minutes.
+# graphs at 0.20 to 0.29 ms each (a uniform sample of 5,000), 7 to 10 minutes.
 MAX_EXHAUSTIVE_N = 6
 MAX_RANDOM_N = 12
-# About 1.3 minutes at 0.77 ms per 12-vertex graph (2,000 random graphs at
-# seed 0 took 1.54 s on the same machine).
+# About a minute at 0.5 to 0.7 ms per 12-vertex graph (2,000 random graphs at
+# seed 0 took 0.97 to 1.46 s on the same machine).
 MAX_RANDOM_COUNT = 100_000
 
 # The properties that have a brute-force oracle to compare the recognizer with.

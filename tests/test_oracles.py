@@ -1,5 +1,7 @@
 import itertools
 import random
+from functools import reduce
+from operator import and_
 
 import networkx as nx
 import pytest
@@ -15,6 +17,10 @@ from idemgraph.graphs import (
 )
 from idemgraph.oracles import (
     OracleSizeError,
+    _contract,
+    _has_complete_bipartite,
+    _match_plan,
+    _simplify,
     cograph_oracle,
     find_induced,
     has_minor,
@@ -25,7 +31,7 @@ from idemgraph.oracles import (
 )
 from idemgraph import recognizers
 from idemgraph.rings import build_ring
-from idemgraph.selftest import random_graph
+from idemgraph.selftest import all_graphs, random_graph
 
 from helpers import (
     complete_bipartite_graph,
@@ -49,6 +55,37 @@ def criterion_9_graphs():
     return [random_graph(12, rng) for _ in range(500)]
 
 
+@pytest.fixture(scope="module")
+def pattern_classes():
+    # One graph per isomorphism class on 1 to 5 vertices: 1, 2, 4, 11 and 34.
+    classes = []
+    for n in range(1, 6):
+        reps = []
+        for g in all_graphs(n):
+            if not any(isomorphic_small(g, h) for h in reps):
+                reps.append(g)
+        classes += reps
+    assert len(classes) == 52
+    return classes
+
+
+def constrained_self_matches(pattern):
+    # Every assignment of pattern vertices to the plan's steps that keeps the
+    # steps' adjacencies and non-adjacencies and the symmetry constraints.
+    plan = _match_plan(pattern.rows)
+    rows = pattern.rows
+    return [
+        images
+        for images in itertools.permutations(range(pattern.n))
+        if all(
+            ((rows[images[i]] >> images[j]) & 1) == ((adj >> j) & 1)
+            and (not (above >> j) & 1 or images[i] > images[j])
+            for i, (_, adj, above) in enumerate(plan)
+            for j in range(i)
+        )
+    ]
+
+
 def assert_minor_search_matches_reference(g):
     for pair in (("K5", "K33"), ("K4", "K23")):
         expected = any(reference_has_minor(g, t) for t in pair)
@@ -57,13 +94,13 @@ def assert_minor_search_matches_reference(g):
         assert has_minor(g, target) == reference_has_minor(g, target), (target, sorted(g.edges()))
 
 
-def assert_induced_search_matches_reference(g):
-    for pattern in PATTERNS:
+def assert_induced_search_matches_reference(g, patterns=PATTERNS):
+    for pattern in patterns:
         hit = find_induced(g, pattern)
         if hit is None:
-            assert not has_induced_copy(g, pattern), sorted(g.edges())
+            assert not has_induced_copy(g, pattern), (sorted(pattern.edges()), sorted(g.edges()))
         else:
-            assert isomorphic_small(induced_subgraph(g, hit), pattern), sorted(g.edges())
+            assert isomorphic_small(induced_subgraph(g, hit), pattern), (sorted(pattern.edges()), sorted(g.edges()))
 
 
 class TestFindInduced:
@@ -106,6 +143,19 @@ class TestFindInducedAgainstReference:
             assert_induced_search_matches_reference(g)
 
 
+class TestSymmetryBreaking:
+    # Each induced copy is one vertex set; the plan must let exactly one of
+    # its automorphic matches through, for every pattern shape.
+    def test_every_pattern_matches_itself_once(self, pattern_classes):
+        for p in pattern_classes:
+            assert len(constrained_self_matches(p)) == 1, sorted(p.edges())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=9), st.randoms(use_true_random=False))
+    def test_every_pattern_against_reference(self, pattern_classes, n, rnd):
+        assert_induced_search_matches_reference(random_graph(n, rnd), pattern_classes)
+
+
 class TestForbiddenPatternOracles:
     def test_split_oracle_witnesses(self):
         for g in (two_k2(), cycle_graph(4), cycle_graph(5)):
@@ -116,6 +166,16 @@ class TestForbiddenPatternOracles:
     def test_threshold_oracle(self):
         assert threshold_oracle(path_graph(4)) is not None
         assert threshold_oracle(complete_graph(5)) is None
+
+    def test_queries_about_another_graph_start_afresh(self):
+        # split and threshold share their C4 and 2K2 searches on one graph;
+        # an answer about C4 must not carry over to K4.
+        c4, k4 = cycle_graph(4), complete_graph(4)
+        assert split_oracle(c4) is not None
+        assert threshold_oracle(k4) is None
+        assert cograph_oracle(k4) is None
+        assert split_oracle(k4) is None
+        assert threshold_oracle(c4) == split_oracle(c4) == frozenset(range(4))
 
     def test_cograph_oracle_witness_revalidates(self):
         g = build_idempotent_graph(build_ring("Z4 * Z2"))
@@ -212,6 +272,66 @@ class TestMinorSearchAgainstReference:
         wheel = graph_from_edges(12, rim + [(0, i) for i in range(1, 12)])
         with time_budget(0.25):
             assert not outerplanar_oracle(wheel)
+
+
+def reference_has_complete_bipartite(rows, a, b):
+    return any(reduce(and_, combo).bit_count() >= b for combo in itertools.combinations(rows.values(), a))
+
+
+def simplified(g, deg2_ok):
+    rows = dict(enumerate(g.rows))
+    _simplify(rows, deg2_ok, (1 << g.n) - 1)
+    return rows
+
+
+class TestMinorSearchPieces:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=11), st.randoms(use_true_random=False))
+    def test_complete_bipartite_against_combinations(self, n, rnd):
+        # Rows as a contraction leaves them: some blocks gone, rows over the
+        # remaining names.
+        g = random_graph(n, rnd)
+        keep = [v for v in range(n) if rnd.random() < 0.8]
+        mask = sum(1 << v for v in keep)
+        rows = {v: g.rows[v] & mask for v in keep}
+        for a, b in ((2, 3), (3, 3)):
+            assert _has_complete_bipartite(rows, a, b) == reference_has_complete_bipartite(rows, a, b), (a, b, rows)
+
+    def test_complete_bipartite_at_exactly_b_common_neighbours(self):
+        k33 = dict(enumerate(complete_bipartite_graph(3, 3).rows))
+        assert _has_complete_bipartite(k33, 3, 3)
+        assert _has_complete_bipartite(dict(enumerate(complete_bipartite_graph(2, 3).rows)), 2, 3)
+        k32 = {v: r & ~(1 << 5) for v, r in k33.items() if v != 5}
+        assert not _has_complete_bipartite(k32, 3, 3)
+        assert _has_complete_bipartite(k32, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=9), st.randoms(use_true_random=False))
+    def test_worklist_reaches_the_fixpoint(self, n, rnd):
+        # After any contraction, simplifying only the blocks _contract names
+        # leaves nothing a full rescan would still delete or contract.
+        g = random_graph(n, rnd)
+        for deg2_ok in (True, False):
+            rows = simplified(g, deg2_ok)
+            for u, r in rows.items():
+                for v in (w for w in rows if w > u and (r >> w) & 1):
+                    after = dict(rows)
+                    _simplify(after, deg2_ok, _contract(after, u, v))
+                    rescanned = dict(after)
+                    _simplify(rescanned, deg2_ok, sum(1 << w for w in rescanned))
+                    assert after == rescanned, (deg2_ok, u, v, sorted(g.edges()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=3, max_value=8), st.randoms(use_true_random=False))
+    def test_k23_after_a_common_neighbour_drops_to_degree_two(self, n, rnd):
+        # A new vertex joined to both ends of an edge uv and to one more
+        # vertex x drops to degree 2 next to the merged block when uv is
+        # contracted: the case the K_{2,3} worklist must revisit.
+        g = random_graph(n, rnd)
+        u, v = rnd.choice(sorted(g.edges()) or [(0, 1)])
+        x = rnd.choice([y for y in range(n) if y not in (u, v)])
+        h = graph_from_edges(n + 1, [*g.edges(), (u, v), (u, n), (v, n), (x, n)])
+        assert has_minor(h, "K23") == reference_has_minor(h, "K23"), sorted(h.edges())
 
 
 class TestMinorSearchAgainstNetworkx:

@@ -7,8 +7,6 @@ constructors used by the recognizer oracles, and DOT export.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .rings import FiniteRing, RingSpec, idempotents
 
 
@@ -20,45 +18,20 @@ class Graph:
     report read, so each is computed once: the degrees and edge count while
     the rows are validated, the components on first use.
 
-    The rows are validated on one of three routes.  A graph of 2 to 512
-    vertices is first decided whole: with N the next power of two at or
-    above n (at least 8), the rows are packed into one int, row i at bit
-    i N, and checked for a negative row, a bit at or beyond n, a set
-    diagonal bit and symmetry, the last by Warren's transpose in log2 N
-    steps on the packed int (`packed_symmetric`).  If that passes, the
-    edge count is half the bit count.  Every other graph, and one that
-    fails there, is checked row by row: the first pass rejects a bit at or
-    beyond n and a loop in any row, naming the first such row.  The second
-    checks symmetry.  A dense graph, with more than 2 n b bits set (b the
-    bit length of n, so about b edges per vertex), is compared with its
-    transpose, computed in about (n / 2) b row steps.  A sparse graph, or
-    a dense one that differs from its transpose, is walked: one step per
-    bit above the diagonal, which names the first such bit found
-    unmirrored."""
+    `Graph(n, rows)` validates the rows in full and raises ValueError at the
+    first fault.  It checks the row count, then row by row a bit at or
+    beyond n (a negative row has such bits) and a loop, naming the first
+    such row, then symmetry.  For symmetry it walks the bits above the
+    diagonal, one step per bit, and names the first one found unmirrored;
+    a count of the bits below then catches one with no mirror above.  The
+    module's own builders, whose rows are symmetric by construction, use
+    `_symmetric_graph`, which makes every check but the walk."""
 
     __slots__ = ("n", "rows", "degrees", "_edge_count", "_components")
 
     def __init__(self, n: int, rows: list[int]):
-        self.n = n
-        self.rows = rows = tuple(rows)
-        if len(rows) != n:
-            raise ValueError(f"{len(rows)} rows for {n} vertices")
-        packed = packed_symmetric(n, rows)
-        if not packed:
-            for i, r in enumerate(rows):
-                if r >> n:
-                    raise ValueError(f"row {i} has bits beyond vertex count")
-                if r >> i & 1:
-                    raise ValueError(f"loop at vertex {i}")
-        self.degrees = tuple(map(int.bit_count, rows))
-        self._components = None
-        bits = sum(self.degrees)
-        # Symmetry.  The transpose costs about (n / 2) b row-pair steps
-        # whatever the edge count, so it is tried only above 2 n b bits,
-        # where a walk of one step per edge would cost more.
-        if packed or bits > 2 * n * n.bit_length() and transpose(rows) == rows:
-            self._edge_count = bits // 2
-            return
+        self._load(n, rows)
+        rows = self.rows
         # The walk: every bit above the diagonal is mirrored below it, and
         # there are as many bits below as above, so nothing else is below.
         # The bits above are walked from the highest down, and each partner
@@ -74,9 +47,23 @@ class Graph:
                 if not rows[i + 1 + k] & bit:
                     raise ValueError(f"asymmetric adjacency at ({i}, {i + 1 + k})")
                 r ^= 1 << k
-        if 2 * above != bits:
+        if 2 * above != sum(self.degrees):
             raise ValueError("asymmetric adjacency below the diagonal")
         self._edge_count = above
+
+    def _load(self, n: int, rows) -> None:
+        """Every check but symmetry, and the degrees."""
+        self.n = n
+        self.rows = rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} rows for {n} vertices")
+        for i, r in enumerate(rows):
+            if r >> n:
+                raise ValueError(f"row {i} has bits beyond vertex count")
+            if r >> i & 1:
+                raise ValueError(f"loop at vertex {i}")
+        self.degrees = tuple(map(int.bit_count, rows))
+        self._components = None
 
     def edge_count(self) -> int:
         return self._edge_count
@@ -100,82 +87,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def transpose(rows) -> tuple[int, ...]:
-    """The transpose of the square 0/1 matrix whose row i is the bitset
-    rows[i], for n = len(rows) rows with no bit at or beyond n.
-
-    The recursive block transpose (Warren, Hacker's Delight, 2nd ed.,
-    section 7-3): the rows are padded with zero rows to a power of two N,
-    and at each scale b = N/2, ..., 1 every row i with bit b of i clear
-    swaps its block of columns j + b with row i + b's block of columns j,
-    over the columns j with bit b of j clear (the mask M_b)."""
-    n = len(rows)
-    size = 1 << (n - 1).bit_length() if n else 0
-    t = list(rows) + [0] * (size - n)
-    every = (1 << size) - 1
-    b = size >> 1
-    while b:
-        m = every // ((1 << 2 * b) - 1) * ((1 << b) - 1)
-        for lo in range(0, size, 2 * b):
-            for i in range(lo, lo + b):
-                d = ((t[i] >> b) ^ t[i + b]) & m
-                t[i] ^= d << b
-                t[i + b] ^= d
-        b >>= 1
-    return tuple(t[:n])
-
-
-# Above 512 vertices the packed transpose, whose every step shifts the whole
-# N^2-bit int, is no longer clearly faster than the row-by-row checks.
-MAX_PACKED_VERTICES = 512
-
-
-def packed_symmetric(n: int, rows: tuple[int, ...]) -> bool:
-    """Whether the n rows, 2 <= n <= MAX_PACKED_VERTICES, form a loopless
-    symmetric 0/1 matrix with no bit at or beyond n; False for any other n.
-
-    The rows are packed into one int P, row i at bit offset i N for N the
-    next power of two at or above n, at least 8, so that each row is a
-    whole number of bytes.  Warren's transpose (Hacker's Delight, 2nd ed.,
-    section 7-3) then runs on P itself: at each scale b, bit (i, j) with
-    bit b clear in i and set in j swaps with bit (i + b, j - b), which lies
-    b (N - 1) places higher.  A negative row is rejected before packing,
-    where to_bytes would raise OverflowError."""
-    if not 2 <= n <= MAX_PACKED_VERTICES or min(rows) < 0 or max(rows) >> n:
-        return False
-    size = max(8, 1 << (n - 1).bit_length())
-    diagonal, steps = _packed_masks(size)
-    width = size // 8
-    p = int.from_bytes(b"".join([r.to_bytes(width, "little") for r in rows]), "little")
-    if p & diagonal:
-        return False
-    t = p
-    for s, m in steps:
-        d = ((t >> s) ^ t) & m
-        t ^= d ^ (d << s)
-    return t == p
-
-
-@cache
-def _packed_masks(size: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """For a size x size matrix packed as in `packed_symmetric`: the mask of
-    its diagonal, and for each scale b = size / 2, ..., 1 the shift
-    b (size - 1) with the mask of the bits (i, j), bit b clear in i and set
-    in j.  These depend only on size, a power of two, so at most seven
-    entries are ever made.  Each mask is laid out as bytes, row by row,
-    since big-int products and quotients of this length are far slower."""
-    width = size // 8
-    diagonal = bytearray(width * size)
-    for i in range(size):
-        diagonal[i * width + i // 8] = 1 << i % 8
-    steps = []
-    b = size >> 1
-    while b:
-        columns = ((1 << size) - 1) // ((1 << 2 * b) - 1) * ((1 << b) - 1) << b
-        block = columns.to_bytes(width, "little") * b + bytes(width * b)
-        steps.append((b * (size - 1), int.from_bytes(block * (size // (2 * b)), "little")))
-        b >>= 1
-    return int.from_bytes(diagonal, "little"), tuple(steps)
+def _symmetric_graph(n: int, rows) -> Graph:
+    """The Graph on rows that are symmetric by construction.  It makes every
+    check of `Graph(n, rows)`, with the same texts, except the symmetry
+    walk, and takes the edge count as half the bit count."""
+    g = Graph.__new__(Graph)
+    g._load(n, rows)
+    g._edge_count = sum(g.degrees) // 2
+    return g
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -187,7 +106,7 @@ def graph_from_edges(n: int, edges) -> Graph:
             raise ValueError(f"loop at vertex {i}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, rows)
+    return _symmetric_graph(n, rows)
 
 
 def path_graph(n: int) -> Graph:
@@ -235,10 +154,28 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     factor as the rows are.  A flag wrong either way leaves a diagonal bit
     set, which `Graph` rejects as a loop.
 
+    The rows are symmetric by construction, so the product is not checked
+    for symmetry; its factors are.  Before the diagonal is cleared, the
+    adjacency matrix is the Kronecker product of the factors' matrices
+    M[a][j] = [j in offsets[a]], and a Kronecker product of symmetric
+    matrices is symmetric.  Each M is symmetric because addition commutes:
+    e - a = j iff e - j = a.  So each factor's table is checked instead,
+    which costs the sum of |R_i| |Id(R_i)|: every j in offsets[a] must lie
+    in range(size), which also keeps every bit below the vertex count, and
+    have a in offsets[j].  A table that fails raises ValueError naming the
+    factor and the pair.  The rows then go to `_symmetric_graph`, which
+    still checks the row count, the range and the loops.
+
     Nothing else of the ring is read (`graph_key` lists what is), so a
     builder that comes to read more must add it to the key.
     """
     idempotents(ring)  # the ring's idempotent set, which every report reads; perfbench counts this call
+    for k, f in enumerate(ring.spec.factors):
+        table, size = f.offsets, f.size
+        for a, offsets in enumerate(table):
+            for j in offsets:
+                if not (0 <= j < size and a in table[j]):
+                    raise ValueError(f"factor {k} offset pair ({a}, {j}) is out of range or unmirrored")
     rows = [1]  # the product of no factors: one element, adjacent to itself
     loops = [0]  # the indices of the rows with their own bit set
     for f in reversed(ring.spec.factors):
@@ -255,7 +192,7 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
         rows = wider
     for i in loops:
         rows[i] ^= 1 << i
-    return Graph(ring.size, rows)
+    return _symmetric_graph(ring.size, rows)
 
 
 def masked_components(rows, mask: int, degrees) -> list[tuple[int, int, int]]:

@@ -11,13 +11,12 @@ from idemgraph.graphs import (
     cycle_graph,
     export_dot,
     graph_from_edges,
+    graph_key,
     is_path_graph,
     masked_components,
-    packed_symmetric,
     set_bits,
-    transpose,
 )
-from idemgraph.rings import build_ring
+from idemgraph.rings import build_ring, parse_ring_spec
 from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
 
 from helpers import (
@@ -37,8 +36,7 @@ def census_set(g):
 
 
 def is_dense(g):
-    """Whether Graph, when the packed check does not decide g, compares g's
-    rows with their transpose before it walks them."""
+    """Whether g has more than about b edges per vertex, b the bit length of n."""
     return sum(g.degrees) > 2 * g.n * g.n.bit_length()
 
 
@@ -101,67 +99,6 @@ class TestGraphType:
         assert sum(g.degrees) == 2 * g.edge_count()
 
 
-def reference_transpose(rows):
-    n = len(rows)
-    return tuple(sum((rows[j] >> i & 1) << j for j in range(n)) for i in range(n))
-
-
-@pytest.mark.parametrize("n", [*range(71), 257])
-def test_transpose_matches_a_bit_by_bit_reference(n):
-    rnd = random.Random(n)
-    for density in (0.5, 0.95):
-        rows = [sum((rnd.random() < density) << j for j in range(n)) for _ in range(n)]
-        assert transpose(rows) == reference_transpose(rows)
-        assert transpose(transpose(rows)) == tuple(rows)
-
-
-class TestSymmetryPath:
-    """Graph decides a graph of 2 to 512 vertices on its packed matrix,
-    compares a larger dense graph's rows with their transpose, and walks
-    the bits above the diagonal of every other graph."""
-
-    @pytest.fixture
-    def routes(self, monkeypatch):
-        seen = {"packed": [], "transposed": []}
-
-        def packed(n, rows):
-            decided = packed_symmetric(n, rows)
-            seen["packed"].append((n, decided))
-            return decided
-
-        def counted(rows):
-            seen["transposed"].append(len(rows))
-            return transpose(rows)
-
-        monkeypatch.setattr("idemgraph.graphs.packed_symmetric", packed)
-        monkeypatch.setattr("idemgraph.graphs.transpose", counted)
-        return seen
-
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: complete_graph(16), lambda: build_idempotent_graph(build_ring("Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2"))],
-        ids=["K16", "Z2^8"],
-    )
-    def test_small_dense_graphs_take_the_packed_check(self, routes, make):
-        g = make()
-        assert routes == {"packed": [(g.n, True)], "transposed": []}
-        assert g.edge_count() == g.n * (g.n - 1) // 2
-
-    def test_every_default_sweep_graph_takes_the_packed_check(self, routes):
-        built = [build_idempotent_graph(build_ring(spec)) for spec in enumerate_sweep_specs(SweepConfig())]
-        assert len(built) == 403
-        assert routes == {"packed": [(g.n, True) for g in built], "transposed": []}
-
-    def test_large_dense_graphs_are_transposed_once(self, routes):
-        g = build_idempotent_graph(build_ring("Z4*Z4*Z4*Z4*Z4*Z4"))
-        assert is_dense(g) and routes == {"packed": [(4096, False)], "transposed": [4096]}
-
-    @pytest.mark.parametrize("spec", ["GF(16)*GF(16)*GF(16)", "GF(64)*GF(64)"])
-    def test_large_sparse_graphs_are_walked(self, routes, spec):
-        g = build_idempotent_graph(build_ring(spec))
-        assert not is_dense(g) and routes == {"packed": [(4096, False)], "transposed": []}
-
-
 def random_symmetric_rows(n, rnd, density):
     """The rows of a random loopless graph on n vertices, each pair an edge
     with probability density / 8, for density in {0, 1, 4, 7, 8}; the bits
@@ -222,14 +159,32 @@ def graph_facts(n, rows):
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32), density=st.sampled_from([0, 1, 4, 7, 8]))
 def test_graph_checks_match_a_pair_scan(n, seed, density):
-    # each fault in turn on one random graph; the packed check covers
-    # 2 <= n <= 512, and 0, 1 and 513 stay on the row-by-row checks
+    # each fault in turn on one random graph
     rnd = random.Random(seed)
     rows = random_symmetric_rows(n, rnd, density)
     for fault in (None, "beyond", "negative", "loop", "upper", "lower", "count"):
         bad = inject(rows, fault, rnd)
         if bad is not None:
             assert outcome(graph_facts, n, bad) == outcome(reference_graph_check, n, bad), fault
+
+
+CLASSIFY_LARGE = ["Z4*Z4*Z4*Z4*Z4*Z4", "GF(64)*GF(64)", "Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2", "GF(16)*GF(16)*GF(16)"]
+
+
+def test_every_built_graph_passes_the_full_check():
+    # the builder's graphs skip the symmetry walk, trusted by the Kronecker
+    # argument; public Graph() walks one graph per graph_key group of the
+    # default sweep and each large ring's, and the pair scan checks every
+    # sweep graph (at most 256 vertices)
+    specs = [parse_ring_spec(s) for s in enumerate_sweep_specs(SweepConfig())]
+    groups = {graph_key(spec): spec for spec in specs}
+    assert (len(specs), len(groups)) == (403, 222)
+    for spec in [*groups.values(), *map(parse_ring_spec, CLASSIFY_LARGE)]:
+        g = build_idempotent_graph(build_ring(spec))
+        facts = g.degrees, g.edge_count()
+        assert graph_facts(g.n, g.rows) == facts
+        if g.n <= 256:
+            assert reference_graph_check(g.n, g.rows) == facts
 
 
 @pytest.mark.parametrize("n", [3, 300])
@@ -351,6 +306,23 @@ class TestBuildIdempotentGraph:
         with pytest.raises(ValueError) as raised:
             build_idempotent_graph(r)
         assert str(raised.value) == f"loop at vertex {loop}"
+
+    @pytest.mark.parametrize(
+        "row, pair",
+        [((0, 1, 2), (0, 2)), ((0, 1, 4), (0, 4)), ((0, 1, -3), (0, -3))],
+        ids=["unmirrored", "beyond-the-factor", "negative"],
+    )
+    def test_a_corrupt_offset_table_is_rejected_by_its_factor_check(self, row, pair):
+        # Z4's idempotents are 0 and 1, so element a's offsets are -a and
+        # 1 - a; -3 would index row 1, which holds 0, so only the range
+        # check catches it
+        r = build_ring("Z3 * Z4")
+        factor = r.spec.factors[1]
+        assert factor.offsets == ((0, 1), (3, 0), (2, 3), (1, 2))
+        factor.__dict__["offsets"] = (row,) + factor.offsets[1:]  # the cached_property's slot
+        with pytest.raises(ValueError) as raised:
+            build_idempotent_graph(r)
+        assert str(raised.value) == f"factor 1 offset pair {pair} is out of range or unmirrored"
 
     @pytest.mark.parametrize(
         "spec", ["Z12", "Z3[x]/(x^2) * Z2", "GF(4) * Z4", "Z2 * GF(8)", "Z6 * Z2[x]/(x^2)"]

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from idemgraph import graphs as graphs_module
 from idemgraph.graphs import (
     Graph,
+    _symmetric_graph,
     build_idempotent_graph,
     component_census,
     cycle_graph,
@@ -29,6 +31,9 @@ from helpers import (
     random_graphs,
     reference_graph_check,
 )
+
+
+CLASSIFY_LARGE = ["Z4*Z4*Z4*Z4*Z4*Z4", "GF(64)*GF(64)", "Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2", "GF(16)*GF(16)*GF(16)"]
 
 
 def census_set(g):
@@ -99,6 +104,72 @@ class TestGraphType:
         assert sum(g.degrees) == 2 * g.edge_count()
 
 
+class TestValidationRoute:
+    """Public `Graph(n, rows)` walks the bits above the diagonal; the
+    module's builders, whose rows are symmetric by construction, go
+    through `_symmetric_graph`, which makes every check but the walk."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        seen = {"walked": [], "trusted": []}
+        walk, trust = Graph.__init__, graphs_module._symmetric_graph
+
+        def walked(g, n, rows):
+            seen["walked"].append(n)
+            walk(g, n, rows)
+
+        def trusted(n, rows):
+            seen["trusted"].append(n)
+            return trust(n, rows)
+
+        monkeypatch.setattr(Graph, "__init__", walked)
+        monkeypatch.setattr(graphs_module, "_symmetric_graph", trusted)
+        return seen
+
+    def test_public_graphs_are_walked(self, routes):
+        g = complete_graph(16)
+        assert routes == {"walked": [16], "trusted": []}
+        assert g.edge_count() == 16 * 15 // 2
+
+    def test_graphs_from_edges_are_not_walked(self, routes):
+        g = cycle_graph(9)
+        assert routes == {"walked": [], "trusted": [9]}
+        assert (g.degrees, g.edge_count()) == ((2,) * 9, 9)
+
+    @pytest.mark.parametrize("spec", CLASSIFY_LARGE)
+    def test_large_built_graphs_are_not_walked(self, routes, spec):
+        g = build_idempotent_graph(build_ring(spec))
+        assert routes == {"walked": [], "trusted": [g.n]}
+        assert g.edge_count() == Graph(g.n, g.rows).edge_count()
+
+    def test_every_default_sweep_graph_is_not_walked(self, routes):
+        built = [build_idempotent_graph(build_ring(spec)) for spec in enumerate_sweep_specs(SweepConfig())]
+        assert len(built) == 403
+        assert routes == {"walked": [], "trusted": [g.n for g in built]}
+
+
+@pytest.mark.parametrize("n", [*range(71), 257])
+def test_each_route_matches_a_pair_scan_at_every_size(n):
+    # every size up to 70 crosses the int digit and word boundaries; the
+    # walk finds an unmirrored bit, and _symmetric_graph, which trusts its
+    # rows, makes every other check with the same text
+    rnd = random.Random(n)
+    for density in (0, 1, 4, 7, 8):
+        rows = random_symmetric_rows(n, rnd, density)
+        for fault in (None, "beyond", "negative", "loop", "upper", "lower", "count"):
+            bad = inject(rows, fault, rnd)
+            if bad is None:
+                continue
+            expected = outcome(reference_graph_check, n, bad)
+            assert outcome(graph_facts, n, bad) == expected, fault
+            trusted = outcome(symmetric_graph_facts, n, bad)
+            if fault in ("upper", "lower"):
+                assert isinstance(expected, str)
+                assert trusted == (tuple(map(int.bit_count, bad)), sum(map(int.bit_count, bad)) // 2)
+            else:
+                assert trusted == expected, fault
+
+
 def random_symmetric_rows(n, rnd, density):
     """The rows of a random loopless graph on n vertices, each pair an edge
     with probability density / 8, for density in {0, 1, 4, 7, 8}; the bits
@@ -155,6 +226,11 @@ def graph_facts(n, rows):
     return g.degrees, g.edge_count()
 
 
+def symmetric_graph_facts(n, rows):
+    g = _symmetric_graph(n, rows)
+    return g.degrees, g.edge_count()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 255, 256, 257, 511, 512, 513])
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32), density=st.sampled_from([0, 1, 4, 7, 8]))
@@ -166,9 +242,6 @@ def test_graph_checks_match_a_pair_scan(n, seed, density):
         bad = inject(rows, fault, rnd)
         if bad is not None:
             assert outcome(graph_facts, n, bad) == outcome(reference_graph_check, n, bad), fault
-
-
-CLASSIFY_LARGE = ["Z4*Z4*Z4*Z4*Z4*Z4", "GF(64)*GF(64)", "Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2", "GF(16)*GF(16)*GF(16)"]
 
 
 def test_every_built_graph_passes_the_full_check():

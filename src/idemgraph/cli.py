@@ -125,7 +125,7 @@ def cmd_selftest(args) -> int:
     for d in summary["disagreements"][:20]:
         print(
             f"  {d['graph']} {d['property']}: recognizer={d['recognizer']} "
-            f"oracle={d['oracle']} edges={d['edges']}"
+            f"{d['checked_by']}={d['oracle']} edges={d['edges']}"
         )
     return EXIT_MISMATCH if summary["disagreement_count"] else EXIT_OK
 

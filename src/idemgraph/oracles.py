@@ -6,6 +6,12 @@ forbidden-pattern classes, and an exhaustive
 minor search (contraction recursion over bitset rows, with memoization)
 for planarity and outerplanarity.  Both are deliberately independent of
 the decision procedures in `recognizers`.
+
+The minor search stops at the first minor it finds, but must exhaust every
+contraction to answer that none exists.  So `selftest` asks it only about
+the planar and outerplanar no verdicts; a yes comes with a certificate
+that `certificates` checks.  The tests still hold the oracles to every
+verdict, and the certificates to the oracles.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Graph-class recognizers: planar, outerplanar, split, threshold, cograph,
 cactus, unicyclic.
 
-Each recognizer is a polynomial-time decision procedure; the matching
-brute-force oracles live in `oracles` and the two are compared head-to-head
-by the self-test harness.  Everything works directly on bitset rows.
+Each recognizer is a polynomial-time decision procedure that returns a
+plain bool.  Everything works directly on bitset rows.  The self-test
+harness checks every verdict independently: the planar and outerplanar yes
+verdicts by the certificates that `planar_certificate` and
+`outerplanar_certificate` return and `certificates` checks, and every other
+verdict by the matching brute-force oracle in `oracles`.
 
 Planarity is decided by counts at three levels: the whole graph, each
 component and each biconnected block.  A graph with at most 4 vertices or 8
@@ -15,7 +18,10 @@ still open, each block's.  A block the counts do not decide goes to the
 path-addition test of Demoucron, Malgrange and Pertuiset (1964): embed a
 cycle, then add paths through the fragments of the graph left over, each
 into a face whose boundary holds all the fragment's attachment vertices.
-The faces it keeps are a planar embedding of the block.  Outerplanarity is
+The faces it keeps are a planar embedding of the block, and the
+certificate of a yes is the list of pieces the counts and path addition
+decided: each component its counts decide and each block of the others,
+with its faces when path addition decided it.  Outerplanarity is
 planarity of each block plus an apex vertex joined to all of it, by the
 same three levels of counts, with the exit that at most 5 edges is
 outerplanar, and path addition.  The cograph walk skips complete components
@@ -28,21 +34,19 @@ from collections import defaultdict
 
 from .graphs import Graph, is_connected, masked_components, set_bits
 
+# Pieces of a graph as (vertex mask, faces or None); `certificates` checks one.
+Certificate = list[tuple[int, list[list[int]] | None]]
+
 
 def is_planar(g: Graph) -> bool:
-    known = _planar_by_counts(g.n, g.edge_count())
-    if known is not None:
-        return known
-    comps = _open_components(g, _planar_by_counts)
-    if comps is None:
-        return False
-    for verts, m in _blocks(g, comps):
-        known = _planar_by_counts(verts.bit_count(), m)
-        if known is None:
-            known = _planar_block(g.rows, g.degrees, verts)
-        if not known:
-            return False
-    return True
+    return planar_certificate(g) is not None
+
+
+def planar_certificate(g: Graph) -> Certificate | None:
+    """None if g is not planar, else the certificate `certificates.check_planar`
+    checks: the pieces of `_certificate`, each block that path addition
+    decided with the faces of its embedding."""
+    return _certificate(g, _planar_by_counts, lambda verts: _planar_block(g.rows, g.degrees, verts))
 
 
 def _planar_by_counts(n: int, m: int) -> bool | None:
@@ -54,23 +58,40 @@ def _planar_by_counts(n: int, m: int) -> bool | None:
     return None
 
 
-def _open_components(g: Graph, by_counts) -> list[int] | None:
-    """The masks of the components of g that by_counts(k, m) leaves open,
-    or None when it rejects one."""
-    out = []
+def _certificate(g: Graph, by_counts, embed) -> Certificate | None:
+    """The pieces of g as (vertex mask, faces), or None when a piece is
+    rejected.  by_counts(k, m) decides a piece of k vertices and m edges
+    (its faces are None) or leaves it to embed(verts), which returns its
+    faces or None.  The graph's counts come first, then each component's,
+    then each block's, found by one block search over the components still
+    open: the pieces are the whole graph, or each component the counts
+    decide and each block of the others."""
+    known = by_counts(g.n, g.edge_count())
+    if known is not None:
+        return [((1 << g.n) - 1, None)] if known else None
+    pieces, comps = [], []
     for comp, k, m in g.components():
         known = by_counts(k, m)
         if known is None:
-            out.append(comp)
+            comps.append(comp)
         elif not known:
             return None
-    return out
+        else:
+            pieces.append((comp, None))
+    for verts, m in _blocks(g, comps):
+        known = by_counts(verts.bit_count(), m)
+        faces = embed(verts) if known is None else None
+        if not (known or faces):
+            return None
+        pieces.append((verts, faces))
+    return pieces
 
 
-def _planar_block(rows, degrees, verts: int) -> bool:
+def _planar_block(rows, degrees, verts: int) -> list[list[int]] | None:
     """Demoucron-Malgrange-Pertuiset path addition on the biconnected block
     with vertex mask verts (at least 3 vertices) of the graph with the given
-    rows and degrees.
+    rows and degrees: the faces of a planar embedding of the block, each a
+    list of vertices in cyclic order, or None if the block is not planar.
 
     The embedded subgraph H starts as a cycle and grows by one path per
     step.  Its faces are simple cycles, kept as vertex lists and as vertex
@@ -135,9 +156,9 @@ def _planar_block(rows, degrees, verts: int) -> bool:
         elif fits:
             key, options = fits.popitem()
         else:
-            return True
+            return faces
         if not options:
-            return False
+            return None
         f = min(options)
         for c in options:
             admits[c].discard(key)
@@ -228,28 +249,24 @@ def _mask(verts) -> int:
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Each block plus an apex vertex joined to all of it is planar, decided
-    by `_outerplanar_by_counts` on the graph, then on each component, then
-    on each block; the apex rows are built for the first block the counts
-    leave open."""
-    known = _outerplanar_by_counts(g.n, g.edge_count())
-    if known is not None:
-        return known
-    comps = _open_components(g, _outerplanar_by_counts)
-    if comps is None:
-        return False
-    apex_rows = None
-    for verts, m in _blocks(g, comps):
-        k = verts.bit_count()
-        known = _outerplanar_by_counts(k, m)
-        if known is None:
-            if apex_rows is None:
-                apex_rows = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1]
-                apex_degrees = [d + 1 for d in g.degrees] + [g.n]
-            known = _planar_block(apex_rows, apex_degrees, verts | 1 << g.n)
-        if not known:
-            return False
-    return True
+    return outerplanar_certificate(g) is not None
+
+
+def outerplanar_certificate(g: Graph) -> Certificate | None:
+    """None if g is not outerplanar, else the certificate
+    `certificates.check_outerplanar` checks: the pieces of `_certificate`
+    under `_outerplanar_by_counts`, each block the counts leave open with the
+    faces of the block plus an apex vertex, numbered g.n and joined to all
+    of it.  The apex rows are built for the first such block."""
+    apex = None
+
+    def embed(verts):
+        nonlocal apex
+        if apex is None:
+            apex = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1], [d + 1 for d in g.degrees] + [g.n]
+        return _planar_block(*apex, verts | 1 << g.n)
+
+    return _certificate(g, _outerplanar_by_counts, embed)
 
 
 def _outerplanar_by_counts(k: int, m: int) -> bool | None:

@@ -1,9 +1,13 @@
-"""Recognizer self-test: fast decision procedures vs brute-force oracles.
+"""Recognizer self-test: every verdict of the fast decision procedures is
+checked independently, over every labeled graph with up to N vertices plus
+a seeded batch of random graphs.
 
-Compares planar/outerplanar against the exhaustive minor search and
-split/threshold/cograph against their forbidden-induced-subgraph oracles,
-over every labeled graph with up to N vertices plus a seeded batch of
-random graphs.
+Planar and outerplanar run in their certifying form, once per graph.  A
+yes is checked by its certificate (`certificates`, a linear-time check of
+the pieces and their faces) and a no by the exhaustive minor search of
+`oracles`, which is slowest on a yes, since it must exhaust every
+contraction before it can say that no minor exists.  Split, threshold and
+cograph are checked against their forbidden-induced-subgraph oracles.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ import random
 from .graphs import Graph, graph_from_edges
 from .theorems import PROPERTIES
 
-# The 33,868 labeled graphs on at most 6 vertices took 5.4 to 5.6 s of
+# The 33,868 labeled graphs on at most 6 vertices took 4.7 to 6.2 s of
 # process time on a 2-CPU machine with Python 3.11.  n = 7 adds 2,097,152
-# graphs at 0.20 to 0.29 ms each (a uniform sample of 5,000), 7 to 10 minutes.
+# graphs at 0.17 to 0.26 ms each (a uniform sample of 5,000), 6 to 9 minutes.
 MAX_EXHAUSTIVE_N = 6
 MAX_RANDOM_N = 12
-# About a minute at 0.5 to 0.7 ms per 12-vertex graph (2,000 random graphs at
-# seed 0 took 0.97 to 1.46 s on the same machine).
+# Half a minute to three quarters at 0.26 to 0.43 ms per 12-vertex graph
+# (2,000 random graphs at seed 0 took 0.52 to 0.85 s on the same machine).
 MAX_RANDOM_COUNT = 100_000
 
 # The properties that have a brute-force oracle to compare the recognizer with.
@@ -48,9 +52,20 @@ def random_graph(n: int, rng: random.Random) -> Graph:
 
 
 def _compare(g: Graph, desc: str, disagreements: list[dict]):
+    """Run each checked recognizer once on g and check its verdict: a yes
+    of a row with a certificate by the row's checker, anything else by the
+    row's oracle.  A yes whose certificate fails is a disagreement with
+    the checker, which then reads False."""
     for prop in CHECKED:
-        a = prop.recognize(g)
-        b = prop.oracle(g)
+        if prop.certify is None:
+            cert, a = None, prop.recognize(g)
+        else:
+            cert = prop.certify(g)
+            a = cert is not None
+        if cert is None:
+            checked_by, b = "oracle", prop.oracle(g)
+        else:
+            checked_by, b = "certificate", prop.check(g, cert)
         if a != b:
             disagreements.append(
                 {
@@ -58,6 +73,7 @@ def _compare(g: Graph, desc: str, disagreements: list[dict]):
                     "property": prop.name,
                     "recognizer": a,
                     "oracle": b,
+                    "checked_by": checked_by,
                     "edges": sorted(g.edges()),
                 }
             )

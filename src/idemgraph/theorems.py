@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import oracles, recognizers
+from . import certificates, oracles, recognizers
 from .graphs import Graph, component_census, is_connected, is_path_graph
 from .rings import (
     FiniteRing,
@@ -74,28 +74,38 @@ def predict_cograph(profiles: Profiles) -> bool:
 class Property:
     """A graph property: whether its prediction is stated for non-local rings
     only (and so is None for a local ring), its prediction from the
-    local-factor profiles, its recognizer, and its brute-force oracle."""
+    local-factor profiles, its recognizer, and its brute-force oracle.
+
+    Planar and outerplanar also have a certifying form of the recognizer,
+    `certify(g)`, which returns None for no and a certificate for yes, and
+    the `check(g, certificate)` that confirms the certificate.  `selftest`
+    checks their yes verdicts by the certificate and their no verdicts by
+    the oracle, whose exhaustive minor search is slowest on a yes."""
 
     name: str
     nonlocal_only: bool
     predict: Callable[[Profiles], bool]
     recognize: Callable[[Graph], bool]
     oracle: Callable[[Graph], bool] | None = None
+    certify: Callable[[Graph], object | None] | None = None
+    check: Callable[[Graph, object], bool] | None = None
 
 
 # Rows look recognizers, is_connected and predict_connected up when called,
 # not when the table is built, so a function replaced in its module (say,
-# by a tracer) is the one that runs.
+# by a tracer or a test) is the one that runs.
 PROPERTIES: tuple[Property, ...] = (
     Property("connected", False, lambda ps: predict_connected(ps), lambda g: is_connected(g)),
     Property("path_graph", False, predict_path, is_path_graph),
     Property(
         "planar", True, predict_planar,
         lambda g: recognizers.is_planar(g), oracles.kuratowski_oracle,
+        lambda g: recognizers.planar_certificate(g), certificates.check_planar,
     ),
     Property(
         "outerplanar", True, predict_never,
         lambda g: recognizers.is_outerplanar(g), oracles.outerplanar_oracle,
+        lambda g: recognizers.outerplanar_certificate(g), certificates.check_outerplanar,
     ),
     Property(
         "split", True, predict_split,

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter, defaultdict
 from functools import reduce
 from operator import and_
 
@@ -30,6 +31,8 @@ from idemgraph.oracles import (
     threshold_oracle,
 )
 from idemgraph import recognizers
+from idemgraph.certificates import check_outerplanar, check_planar
+from idemgraph.recognizers import outerplanar_certificate, planar_certificate
 from idemgraph.rings import build_ring
 from idemgraph.selftest import all_graphs, random_graph
 
@@ -334,36 +337,54 @@ class TestMinorSearchPieces:
         assert has_minor(h, "K23") == reference_has_minor(h, "K23"), sorted(h.edges())
 
 
+def certified(g, certify, check):
+    """The recognizer's verdict, when its certificate passes the checker."""
+    cert = certify(g)
+    return cert is not None and check(g, cert)
+
+
 class TestMinorSearchAgainstNetworkx:
+    # Each verdict of the two oracles is also held to networkx's, and the
+    # recognizers' certificates pass the checker exactly when the oracle
+    # says yes: the ground truth for the checker that selftest trusts with
+    # every yes.
     def test_criterion_9_graphs(self, criterion_9_graphs):
         for g in criterion_9_graphs:
             h = nx.Graph(g.edges())
             h.add_nodes_from(range(g.n))
-            assert kuratowski_oracle(g) == nx.check_planarity(h)[0], sorted(g.edges())
+            planar = kuratowski_oracle(g)
+            assert planar == nx.check_planarity(h)[0], sorted(g.edges())
+            assert certified(g, planar_certificate, check_planar) == planar, sorted(g.edges())
             h.add_edges_from((g.n, v) for v in range(g.n))
-            assert outerplanar_oracle(g) == nx.check_planarity(h)[0], sorted(g.edges())
+            outerplanar = outerplanar_oracle(g)
+            assert outerplanar == nx.check_planarity(h)[0], sorted(g.edges())
+            assert certified(g, outerplanar_certificate, check_outerplanar) == outerplanar, sorted(g.edges())
 
-    def test_every_seven_vertex_atlas_graph(self):
-        # The atlas (Read and Wilson) lists each of the 1,044 graphs on 7
-        # vertices once up to isomorphism.  A graph is outerplanar iff it
-        # stays planar with one more vertex joined to every vertex.  The
-        # recognizers are held to the same verdicts.
-        seven = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
-        assert len(seven) == 1044
-        planar = outerplanar = 0
-        for h in seven:
-            g = graph_from_edges(7, h.edges())
+    def test_every_atlas_graph_up_to_seven_vertices(self):
+        # The atlas (Read and Wilson) lists each of the 1,253 graphs on 0 to
+        # 7 vertices once up to isomorphism, 1,044 of them on 7.  A graph is
+        # outerplanar iff it stays planar with one more vertex joined to
+        # every vertex.  The recognizers are held to the same verdicts, and
+        # their certificates pass exactly on the yes verdicts.
+        atlas = nx.graph_atlas_g()
+        assert len(atlas) == 1253
+        counts = defaultdict(Counter)
+        for h in atlas:
+            n = h.number_of_nodes()
+            g = graph_from_edges(n, h.edges())
             is_planar = kuratowski_oracle(g)
             assert is_planar == nx.check_planarity(h)[0], sorted(g.edges())
             apex = h.copy()
-            apex.add_edges_from((7, v) for v in range(7))
+            apex.add_edges_from((n, v) for v in range(n))
             is_outerplanar = outerplanar_oracle(g)
             assert is_outerplanar == nx.check_planarity(apex)[0], sorted(g.edges())
             assert recognizers.is_planar(g) == is_planar, sorted(g.edges())
             assert recognizers.is_outerplanar(g) == is_outerplanar, sorted(g.edges())
-            planar += is_planar
-            outerplanar += is_outerplanar
-        assert (planar, outerplanar) == (822, 277)
+            assert certified(g, planar_certificate, check_planar) == is_planar, sorted(g.edges())
+            assert certified(g, outerplanar_certificate, check_outerplanar) == is_outerplanar, sorted(g.edges())
+            counts[n].update(graphs=1, planar=is_planar, outerplanar=is_outerplanar)
+        assert counts[7] == Counter(graphs=1044, planar=822, outerplanar=277)
+        assert sum(counts.values(), Counter()) == Counter(graphs=1253, planar=1016, outerplanar=400)
 
 
 class TestMinorSearchInvariance:

@@ -350,6 +350,15 @@ def record_block_searches(monkeypatch):
     return calls
 
 
+def record_embeddings(monkeypatch):
+    """What each `_planar_block` call returns, faces or None, in call order."""
+    results, real = [], recognizers._planar_block
+    monkeypatch.setattr(
+        recognizers, "_planar_block", lambda rows, degrees, verts: results.append(real(rows, degrees, verts)) or results[-1]
+    )
+    return results
+
+
 class TestCountsPerComponent:
     # 1,024 separate K4s, the shape of G_Id(GF(64) x GF(64)); 6,144 edges on
     # 4,096 vertices leave the whole graph's planar counts open
@@ -359,16 +368,21 @@ class TestCountsPerComponent:
         g = disjoint_union(self.K4S)
         assert recognizers._planar_by_counts(g.n, g.edge_count()) is None
         searched = record_block_searches(monkeypatch)
+        embedded = record_embeddings(monkeypatch)
         assert is_planar(g)
         assert is_cograph(g)
         assert searched == [[]]
+        assert embedded == []
+        assert recognizers.planar_certificate(g) == [(comp, None) for comp, _, _ in g.components()]
 
     def test_one_k5_component_is_rejected_by_its_counts(self, monkeypatch):
         g = disjoint_union(self.K4S + [complete_graph(5)])
         assert recognizers._planar_by_counts(g.n, g.edge_count()) is None
         searched = record_block_searches(monkeypatch)
+        embedded = record_embeddings(monkeypatch)
         assert not is_planar(g)
         assert searched == []
+        assert embedded == []
 
     def test_one_subdivided_k33_component_is_decided_by_its_blocks(self, monkeypatch):
         # K3,3 with the edge 0-3 replaced by the path 0-6-3: 7 vertices and
@@ -376,8 +390,10 @@ class TestCountsPerComponent:
         k33 = [(a, b) for a in range(3) for b in range(3, 6) if (a, b) != (0, 3)] + [(0, 6), (6, 3)]
         g = disjoint_union(self.K4S + [graph_from_edges(7, k33)])
         searched = record_block_searches(monkeypatch)
+        embedded = record_embeddings(monkeypatch)
         assert not is_planar(g)
         assert searched == [[0b1111111 << 4096]]
+        assert embedded == [None]
 
     def test_k8_components_and_one_p4_are_not_a_cograph(self):
         k8s = [complete_graph(8)] * 512

@@ -86,7 +86,6 @@ def cmd_verify(args) -> int:
         max_ring_size=args.max_size,
         max_factors=args.max_factors,
         catalog=catalog,
-        random_seed=args.seed,
         parallelism=args.jobs,
     )
     summary = run_sweep(config)
@@ -167,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-factors", type=int, default=3, help="largest factor multiset")
     p.add_argument("--catalog", metavar="FILE", help="catalog file, one spec per line")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit the summary as JSON")
     p.set_defaults(func=cmd_verify)
 

@@ -115,22 +115,14 @@ _SPLIT_PATTERNS = (_2K2, _C4, cycle_graph(5))
 _THRESHOLD_PATTERNS = (_P4, _C4, _2K2)
 
 
-# The graph of the last forbidden-pattern query and its searches, keyed by
-# pattern rows.  The split, threshold and cograph oracles share C4, 2K2 and
-# P4, and selftest asks all three about one graph in turn; a query about
-# any other graph object starts afresh.
-_last_searches: tuple[Graph | None, dict[tuple[int, ...], frozenset[int] | None]] = (None, {})
-
-
+# The split, threshold and cograph oracles share C4, 2K2 and P4, and
+# selftest asks all three about one graph in turn.  Graph hashes by
+# identity, and the cache holds the graphs it keys, so no identity is
+# reused while kept.  One graph asks at most the four distinct patterns, so
+# four entries keep all its searches and drop older graphs' first.
+@lru_cache(maxsize=4)
 def _search(g: Graph, pattern: Graph) -> frozenset[int] | None:
-    global _last_searches
-    graph, hits = _last_searches
-    if graph is not g:
-        hits = {}
-        _last_searches = (g, hits)
-    if pattern.rows not in hits:
-        hits[pattern.rows] = find_induced(g, pattern)
-    return hits[pattern.rows]
+    return find_induced(g, pattern)
 
 
 def _first_induced(g: Graph, patterns: tuple[Graph, ...]) -> frozenset[int] | None:

@@ -2,9 +2,10 @@
 cactus, unicyclic.
 
 Each recognizer is a polynomial-time decision procedure that returns a
-plain bool.  Everything works directly on bitset rows.  The self-test
-harness checks every verdict independently: the planar and outerplanar yes
-verdicts by the certificates that `planar_certificate` and
+plain bool; threshold is split and cograph, since the threshold graphs are
+exactly the split cographs.  Everything works directly on bitset rows.  The
+self-test harness checks every verdict independently: the planar and
+outerplanar yes verdicts by the certificates that `planar_certificate` and
 `outerplanar_certificate` return and `certificates` checks, and every other
 verdict by the matching brute-force oracle in `oracles`.
 
@@ -283,39 +284,28 @@ def is_split(g: Graph) -> bool:
     """Degree-sequence characterization (Hammer-Simeone).
 
     With d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the graph is
-    split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.
+    split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.  As i grows,
+    d_i - (i - 1) falls, so the i with d_i >= i - 1 are a prefix and the
+    scan stops at the first that fails.
     """
     degs = sorted(g.degrees, reverse=True)
     m = 0
     for i, d in enumerate(degs, start=1):
-        if d >= i - 1:
-            m = i
+        if d < i - 1:
+            break
+        m = i
     lhs = sum(degs[:m])
     rhs = m * (m - 1) + sum(degs[m:])
     return lhs == rhs
 
 
 def is_threshold(g: Graph) -> bool:
-    """Peel vertices that are isolated or dominating until nothing is left
-    (Hammer, Ibaraki and Simeone, "Threshold sequences", 1981).
-
-    Peeling an isolated vertex leaves every degree unchanged, and peeling a
-    dominating one lowers every other degree by 1.  So among the vertices
-    left, a vertex's degree is its degree in g minus the number of
-    dominating vertices peeled, and the degrees stay in sorted order: the
-    vertices left are degs[lo..hi], an isolated one can only be degs[lo]
-    and a dominating one only degs[hi]."""
-    degs = sorted(g.degrees)
-    lo, hi, dominating = 0, g.n - 1, 0
-    while lo <= hi:
-        if degs[lo] == dominating:
-            lo += 1
-        elif degs[hi] - dominating == hi - lo:
-            hi -= 1
-            dominating += 1
-        else:
-            return False
-    return True
+    """Split and a cograph.  Threshold graphs are the graphs with no
+    induced 2K2, C4 or P4 (Chvatal and Hammer, "Aggregation of inequalities
+    in integer programming", 1977), split graphs those with no induced 2K2,
+    C4 or C5 (Foldes and Hammer, "Split graphs", 1977) and cographs those
+    with no induced P4; a C5 contains a P4."""
+    return is_split(g) and is_cograph(g)
 
 
 def is_cograph(g: Graph) -> bool:

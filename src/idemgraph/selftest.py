@@ -15,13 +15,14 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph, graph_from_edges
+from .oracles import MAX_ORACLE_VERTICES
 from .theorems import PROPERTIES
 
 # The 33,868 labeled graphs on at most 6 vertices took 4.7 to 6.2 s of
 # process time on a 2-CPU machine with Python 3.11.  n = 7 adds 2,097,152
 # graphs at 0.17 to 0.26 ms each (a uniform sample of 5,000), 6 to 9 minutes.
 MAX_EXHAUSTIVE_N = 6
-MAX_RANDOM_N = 12
+MAX_RANDOM_N = MAX_ORACLE_VERTICES
 # Half a minute to three quarters at 0.26 to 0.43 ms per 12-vertex graph
 # (2,000 random graphs at seed 0 took 0.52 to 0.85 s on the same machine).
 MAX_RANDOM_COUNT = 100_000

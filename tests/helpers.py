@@ -173,10 +173,11 @@ def isomorphic_small(g: Graph, h: Graph) -> bool:
 
 
 def reference_is_threshold(g: Graph) -> bool:
-    """The vertex-by-vertex peel, the reference for
-    `recognizers.is_threshold`: remove any vertex that is isolated or
-    dominating among the vertices left, with its degree counted on the
-    rows, until nothing is left."""
+    """The vertex-by-vertex peel (Hammer, Ibaraki and Simeone, "Threshold
+    sequences", 1981), an independent reference for
+    `recognizers.is_threshold`, which is split and cograph: remove any
+    vertex that is isolated or dominating among the vertices left, with its
+    degree counted on the rows, until nothing is left."""
     alive = (1 << g.n) - 1
     count = g.n
     while count:

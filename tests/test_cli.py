@@ -538,6 +538,11 @@ class TestCli:
         assert main(["verify", "--max-size", "1"]) == 1
         assert "rings checked" not in capsys.readouterr().out
 
+    def test_verify_has_no_seed(self, capsys):
+        # No sweep draws a random number, so verify takes no --seed.
+        assert main(["verify", "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_verify_json_deterministic(self, capsys):
         assert main(["verify", "--max-size", "16", "--json"]) == 0
         first = capsys.readouterr().out

@@ -30,7 +30,7 @@ from idemgraph.oracles import (
     split_oracle,
     threshold_oracle,
 )
-from idemgraph import recognizers
+from idemgraph import oracles, recognizers
 from idemgraph.certificates import check_outerplanar, check_planar
 from idemgraph.recognizers import outerplanar_certificate, planar_certificate
 from idemgraph.rings import build_ring
@@ -43,6 +43,7 @@ from helpers import (
     induced_subgraph,
     isomorphic_small,
     reference_has_minor,
+    reference_is_threshold,
     relabel,
     time_budget,
 )
@@ -170,7 +171,7 @@ class TestForbiddenPatternOracles:
         assert threshold_oracle(path_graph(4)) is not None
         assert threshold_oracle(complete_graph(5)) is None
 
-    def test_queries_about_another_graph_start_afresh(self):
+    def test_queries_about_another_graph_start_afresh(self, monkeypatch):
         # split and threshold share their C4 and 2K2 searches on one graph;
         # an answer about C4 must not carry over to K4.
         c4, k4 = cycle_graph(4), complete_graph(4)
@@ -179,6 +180,41 @@ class TestForbiddenPatternOracles:
         assert cograph_oracle(k4) is None
         assert split_oracle(k4) is None
         assert threshold_oracle(c4) == split_oracle(c4) == frozenset(range(4))
+
+        # On one graph the three oracles search each pattern they ask for
+        # once; K5 has none, so they ask all four, and asking again adds
+        # no search.
+        searched = []
+
+        def counted(g, pattern):
+            searched.append(pattern.rows)
+            return find_induced(g, pattern)
+
+        monkeypatch.setattr(oracles, "find_induced", counted)
+        k5 = complete_graph(5)
+        for _ in range(2):
+            assert split_oracle(k5) is threshold_oracle(k5) is cograph_oracle(k5) is None
+            assert sorted(searched) == sorted(p.rows for p in PATTERNS)
+
+        # Five graphs, each a pattern (or K4) at its own offset among 9
+        # vertices, so that no two have the same answers, asked about in
+        # turn: more graphs than the searches kept, yet no answer is
+        # another graph's.
+        oracle_fns = (split_oracle, threshold_oracle, cograph_oracle)
+        graphs = [
+            graph_from_edges(9, [(u + i, v + i) for u, v in h.edges()])
+            for i, h in enumerate(PATTERNS + (complete_graph(4),))
+        ]
+        expected = []
+        for g in graphs:
+            oracles._search.cache_clear()
+            expected.append(tuple(f(g) for f in oracle_fns))
+        assert len(set(expected)) == len(graphs)
+        for r in range(3):
+            for f, answers in zip(oracle_fns, zip(*expected)):
+                for i in range(len(graphs)):
+                    j = (i + r) % len(graphs)
+                    assert f(graphs[j]) == answers[j], (f.__name__, j)
 
     def test_cograph_oracle_witness_revalidates(self):
         g = build_idempotent_graph(build_ring("Z4 * Z2"))
@@ -382,9 +418,15 @@ class TestMinorSearchAgainstNetworkx:
             assert recognizers.is_outerplanar(g) == is_outerplanar, sorted(g.edges())
             assert certified(g, planar_certificate, check_planar) == is_planar, sorted(g.edges())
             assert certified(g, outerplanar_certificate, check_outerplanar) == is_outerplanar, sorted(g.edges())
-            counts[n].update(graphs=1, planar=is_planar, outerplanar=is_outerplanar)
-        assert counts[7] == Counter(graphs=1044, planar=822, outerplanar=277)
-        assert sum(counts.values(), Counter()) == Counter(graphs=1253, planar=1016, outerplanar=400)
+            # Threshold is split and cograph: the conjunction, the peel and
+            # the forbidden 2K2, C4 and P4 agree.
+            is_threshold = recognizers.is_threshold(g)
+            assert is_threshold == reference_is_threshold(g) == (threshold_oracle(g) is None), sorted(g.edges())
+            counts[n].update(graphs=1, planar=is_planar, outerplanar=is_outerplanar, threshold=is_threshold)
+        # There are 2^(n-1) threshold graphs on n >= 1 vertices up to
+        # isomorphism, one per sequence of isolated and dominating additions.
+        assert counts[7] == Counter(graphs=1044, planar=822, outerplanar=277, threshold=64)
+        assert sum(counts.values(), Counter()) == Counter(graphs=1253, planar=1016, outerplanar=400, threshold=128)
 
 
 class TestMinorSearchInvariance:

@@ -108,7 +108,16 @@ class TestThreshold:
         assert is_threshold(complete_graph(6))
 
     def test_p4_not_threshold(self):
-        assert not is_threshold(path_graph(4))
+        # P4 is split but not a cograph.
+        g = path_graph(4)
+        assert is_split(g) and not is_cograph(g)
+        assert not is_threshold(g)
+
+    def test_c4_and_2k2_not_threshold(self):
+        # Both are cographs but not split.
+        for g in (cycle_graph(4), two_k2()):
+            assert is_cograph(g) and not is_split(g)
+            assert not is_threshold(g)
 
     def test_z6_not_threshold(self):
         assert not is_threshold(ring_graph("Z6"))
@@ -214,7 +223,7 @@ def near_threshold_graphs(draw, max_n=40):
 
 
 class TestThresholdAgainstThePeel:
-    """The degree-sequence peel against the vertex-by-vertex peel of
+    """Split and cograph against the vertex-by-vertex peel of
     `tests/helpers.py`, beyond the 12 vertices the oracles reach."""
 
     @settings(max_examples=300, deadline=None)

@@ -4,14 +4,15 @@ Two engines: an induced-subgraph search (backtracking over bitset
 candidate masks, with each pattern's symmetries broken) for the
 forbidden-pattern classes, and an exhaustive
 minor search (contraction recursion over bitset rows, with memoization)
-for planarity and outerplanarity.  Both are deliberately independent of
-the decision procedures in `recognizers`.
+for planarity and outerplanarity, one search per forbidden minor.  Both
+are deliberately independent of the decision procedures in `recognizers`.
 
 The minor search stops at the first minor it finds, but must exhaust every
 contraction to answer that none exists.  So `selftest` asks it only about
-the planar and outerplanar no verdicts; a yes comes with a certificate
-that `certificates` checks.  The tests still hold the oracles to every
-verdict, and the certificates to the oracles.
+the planar and outerplanar no verdicts, where the first search usually
+finds its minor; a yes comes with a certificate that `certificates`
+checks.  The tests still hold the oracles to every verdict, and the
+certificates to the oracles.
 """
 
 from __future__ import annotations
@@ -241,23 +242,17 @@ _TARGETS = {
 }
 
 
-def has_minor(g: Graph, *targets: str) -> bool:
-    """Exhaustive search for any of the named minors (K5, K33, K4, K23).
+def has_minor(g: Graph, target: str) -> bool:
+    """Exhaustive search for the named minor (K5, K33, K4 or K23).
 
     Contraction recursion: a graph has H as a minor iff H is a subgraph of
     some graph reachable by edge contractions.  A state maps each block of
     contracted vertices, named by its least original vertex, to its bitset
     row over those names.  A state seen before was checked and failed, so
-    each reachable contracted graph is checked and expanded once.  One
-    search serves every target: each state is checked for each target it is
-    large enough for, a state or child is pruned only when it is too small
-    for all of them, and degree-2 vertices are suppressed only when every
-    target allows it.
+    each reachable contracted graph is checked and expanded once.  A state
+    or child with fewer vertices or edges than the target is pruned.
     """
-    specs = [_TARGETS[t] for t in targets]
-    need_v = min(s[0] for s in specs)
-    need_e = min(s[1] for s in specs)
-    deg2_ok = all(s[3] for s in specs)
+    need_v, need_e, check, deg2_ok = _TARGETS[target]
     memo: set[frozenset[tuple[int, int]]] = set()
 
     def rec(rows: dict[int, int], work: int) -> bool:
@@ -269,7 +264,7 @@ def has_minor(g: Graph, *targets: str) -> bool:
         key = frozenset(rows.items())
         if key in memo:
             return False
-        if any(tv <= nv and te <= ne and check(rows) for tv, te, check, _ in specs):
+        if check(rows):
             return True
         memo.add(key)
         if nv == need_v:  # every contraction leaves too few vertices
@@ -296,16 +291,12 @@ def kuratowski_oracle(g: Graph) -> bool:
     """True iff the graph has no K_5 and no K_{3,3} minor (so, planar)."""
     if g.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"{g.n} vertices exceeds the oracle bound {MAX_ORACLE_VERTICES}")
-    return not has_minor(g, "K5", "K33")
+    # A non-planar graph usually has a K_{3,3} minor, and that search prunes harder.
+    return not (has_minor(g, "K33") or has_minor(g, "K5"))
 
 
 def outerplanar_oracle(g: Graph) -> bool:
-    """True iff the graph has no K_4 and no K_{2,3} minor (so, outerplanar).
-
-    Two searches, not one: K_{2,3} forbids degree-2 suppression, and a
-    combined search without it walks far more states (the 12-vertex wheel
-    takes hundreds of times longer), while the K_4 search keeps it.
-    """
+    """True iff the graph has no K_4 and no K_{2,3} minor (so, outerplanar)."""
     if g.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"{g.n} vertices exceeds the oracle bound {MAX_ORACLE_VERTICES}")
     return not has_minor(g, "K4") and not has_minor(g, "K23")

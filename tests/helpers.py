@@ -193,9 +193,9 @@ def reference_is_threshold(g: Graph) -> bool:
 
 
 def reference_has_minor(g: Graph, target: str) -> bool:
-    """A plain single-target contraction search, the reference for
-    `oracles.has_minor`: one target, every child copied before it is
-    pruned, degree-2 vertices suppressed for K5, K33 and K4 only, and each
+    """A plain contraction search, the reference for `oracles.has_minor`:
+    every child copied before it is pruned, degree-2 vertices suppressed
+    for K5, K33 and K4 only (none contracted for K23), and each
     simplification rescanning every block until nothing changes.  The
     subgraph checks and size needs are the module's own."""
     need_v, need_e, check, deg2_ok = _TARGETS[target]

@@ -17,6 +17,8 @@ from idemgraph.graphs import (
     two_k2,
 )
 from idemgraph.oracles import (
+    _TARGETS,
+    MAX_ORACLE_VERTICES,
     OracleSizeError,
     _contract,
     _has_complete_bipartite,
@@ -91,11 +93,12 @@ def constrained_self_matches(pattern):
 
 
 def assert_minor_search_matches_reference(g):
-    for pair in (("K5", "K33"), ("K4", "K23")):
-        expected = any(reference_has_minor(g, t) for t in pair)
-        assert has_minor(g, *pair) == expected, (pair, sorted(g.edges()))
+    expected = {t: reference_has_minor(g, t) for t in TARGETS}
     for target in TARGETS:
-        assert has_minor(g, target) == reference_has_minor(g, target), (target, sorted(g.edges()))
+        assert has_minor(g, target) == expected[target], (target, sorted(g.edges()))
+    if g.n <= MAX_ORACLE_VERTICES:
+        assert kuratowski_oracle(g) == (not (expected["K5"] or expected["K33"])), sorted(g.edges())
+        assert outerplanar_oracle(g) == (not (expected["K4"] or expected["K23"])), sorted(g.edges())
 
 
 def assert_induced_search_matches_reference(g, patterns=PATTERNS):
@@ -283,6 +286,47 @@ class TestMinorSearch:
         assert has_minor(g, "K23") == k23
         assert outerplanar_oracle(g) == (not k23)
 
+    def test_minor_searches_in_order(self, monkeypatch):
+        # The first search settles most no verdicts.  K3,3's prunes harder
+        # than K5's, and K4's suppresses degree-2 vertices where K2,3's may
+        # not, so each goes first.  K5 has no K3,3 minor and K2,3 no K4
+        # minor, so each needs both searches.  has_minor takes one target.
+        searched = []
+
+        def counted(g, target):
+            searched.append(target)
+            return has_minor(g, target)
+
+        monkeypatch.setattr(oracles, "has_minor", counted)
+        for oracle, g, order in [
+            (kuratowski_oracle, complete_bipartite_graph(3, 3), ["K33"]),
+            (kuratowski_oracle, complete_graph(5), ["K33", "K5"]),
+            (outerplanar_oracle, complete_graph(4), ["K4"]),
+            (outerplanar_oracle, complete_bipartite_graph(2, 3), ["K4", "K23"]),
+        ]:
+            searched.clear()
+            assert not oracle(g)
+            assert searched == order, oracle.__name__
+        with pytest.raises(TypeError):
+            has_minor(complete_graph(5), "K5", "K33")
+
+    @pytest.mark.parametrize(
+        "target, graph",
+        [
+            ("K5", complete_graph(5)),
+            ("K33", complete_bipartite_graph(3, 3)),
+            ("K4", complete_graph(4)),
+            ("K23", complete_bipartite_graph(2, 3)),
+        ],
+    )
+    def test_target_table(self, target, graph):
+        # The search prunes by the table's vertex and edge counts, and
+        # suppresses degree-2 vertices only for a target without any.
+        need_v, need_e, check, deg2_ok = _TARGETS[target]
+        assert (need_v, need_e) == (graph.n, graph.edge_count())
+        assert deg2_ok == (min(r.bit_count() for r in graph.rows) >= 3)
+        assert check(dict(enumerate(graph.rows)))
+
     def test_size_guard(self):
         with pytest.raises(OracleSizeError):
             kuratowski_oracle(complete_graph(13))
@@ -291,8 +335,8 @@ class TestMinorSearch:
 
 
 class TestMinorSearchAgainstReference:
-    # The combined search, the child prune and the worklist simplification
-    # against the plain single-target search, target by target.
+    # The child prune and the worklist simplification against the plain
+    # search, target by target, and the two oracles against its verdicts.
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=9), st.randoms(use_true_random=False))
     def test_small_graphs(self, n, rnd):
@@ -303,10 +347,10 @@ class TestMinorSearchAgainstReference:
             assert_minor_search_matches_reference(g)
 
     def test_wheel_is_not_outerplanar_within_a_quarter_second(self):
-        # The 12-vertex wheel W12 has a K_4 minor.  The K_4 search, which
-        # suppresses degree-2 vertices, finds it in about a millisecond; a
-        # single search for K_4 or K_{2,3}, which may not, takes about half
-        # a second.
+        # The 12-vertex wheel W12 has a K_4 and a K_{2,3} minor.  The K_4
+        # search, which suppresses degree-2 vertices, finds its minor in
+        # about a millisecond; the K_{2,3} search, which may not, takes
+        # about 0.2 s.
         rim = [(i, i % 11 + 1) for i in range(1, 12)]
         wheel = graph_from_edges(12, rim + [(0, i) for i in range(1, 12)])
         with time_budget(0.25):

@@ -79,13 +79,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    catalog = DEFAULT_CATALOG
-    if args.catalog:
-        catalog = load_catalog_file(args.catalog)
     config = SweepConfig(
         max_ring_size=args.max_size,
         max_factors=args.max_factors,
-        catalog=catalog,
+        catalog=load_catalog_file(args.catalog) if args.catalog else DEFAULT_CATALOG,
         parallelism=args.jobs,
     )
     summary = run_sweep(config)
@@ -162,10 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="sweep catalog products and cross-validate")
-    p.add_argument("--max-size", type=int, default=256, help="largest ring in the sweep")
-    p.add_argument("--max-factors", type=int, default=3, help="largest factor multiset")
+    p.add_argument(
+        "--max-size", type=ring_size_bound, default=SweepConfig.max_ring_size, help="largest ring in the sweep"
+    )
+    p.add_argument("--max-factors", type=int, default=SweepConfig.max_factors, help="largest factor multiset")
     p.add_argument("--catalog", metavar="FILE", help="catalog file, one spec per line")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=SweepConfig.parallelism, help="parallel workers")
     p.add_argument("--json", action="store_true", help="emit the summary as JSON")
     p.set_defaults(func=cmd_verify)
 

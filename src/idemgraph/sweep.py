@@ -10,15 +10,15 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graphs import build_idempotent_graph, graph_key
 from .rings import (
     DEFAULT_MAX_RING_SIZE,
+    FactorSpec,
     RingSpec,
     build_ring,
     format_ring_spec,
-    is_local,
     parse_ring_spec,
 )
 from .theorems import cross_validate, recognize_all
@@ -49,56 +49,62 @@ class SweepConfig:
     catalog: tuple[str, ...] = DEFAULT_CATALOG
     parallelism: int = 1
 
-    def validate(self):
+    def validate(self) -> list[FactorSpec]:
+        """The sweep's one reader of the catalog text: checks the bounds,
+        parses each entry once and rejects one that is not a local ring (one
+        spec factor, whose only idempotents are 0 and 1).  Returns one
+        FactorSpec per distinct catalog ring, in canonical-text order."""
         if not (1 <= self.max_ring_size <= DEFAULT_MAX_RING_SIZE):
-            raise ValueError(
-                f"max_ring_size must be in [1, {DEFAULT_MAX_RING_SIZE}]"
-            )
+            raise ValueError(f"max_ring_size must be in [1, {DEFAULT_MAX_RING_SIZE}]")
         if self.max_factors < 1:
             raise ValueError("max_factors must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if not self.catalog:
+            raise ValueError("the catalog is empty")
+        factors = {}
         for entry in self.catalog:
-            ring = build_ring(entry)
-            if not is_local(ring):
+            spec = parse_ring_spec(entry)
+            if len(spec.factors) != 1 or len(spec.factors[0].idempotents) != 2:
                 raise ValueError(f"catalog entry {entry!r} is not a local ring")
+            factors.setdefault(format_ring_spec(spec), spec.factors[0])
+        return [factors[text] for text in sorted(factors)]
 
 
-def enumerate_sweep_specs(config: SweepConfig) -> list[str]:
-    """Canonical spec texts: every multiset of 1..max_factors catalog rings
-    whose product size is within bound."""
-    canon = {}
-    for entry in config.catalog:
-        spec = parse_ring_spec(entry)
-        canon[format_ring_spec(spec)] = spec.size
-    singles = sorted(canon)
+def enumerate_sweep_specs(config: SweepConfig) -> list[RingSpec]:
+    """Every multiset of 1..max_factors catalog rings whose product size is
+    within bound, in the order of its canonical spec text.  The config is
+    validated first, and the rings share the FactorSpec objects it returns,
+    one per distinct catalog ring."""
+    factors = config.validate()
+    sizes = [f.size for f in factors]
     # Multisets as non-decreasing index tuples with their product size, grown
     # one factor at a time; one whose product exceeds the bound is dropped
     # at once, so the walk never extends a multiset it does not return.
-    grown = [((i,), canon[s]) for i, s in enumerate(singles) if canon[s] <= config.max_ring_size]
-    specs = [singles[i] for (i,), _ in grown]
+    grown = [((i,), size) for i, size in enumerate(sizes) if size <= config.max_ring_size]
+    combos = [combo for combo, _ in grown]
     for _ in range(config.max_factors - 1):
         grown = [
-            (combo + (j,), size * canon[singles[j]])
+            (combo + (j,), size * sizes[j])
             for combo, size in grown
-            for j in range(combo[-1], len(singles))
-            if size * canon[singles[j]] <= config.max_ring_size
+            for j in range(combo[-1], len(sizes))
+            if size * sizes[j] <= config.max_ring_size
         ]
         if not grown:
             break
-        specs.extend(" * ".join(singles[j] for j in combo) for combo, _ in grown)
-    return sorted(set(specs))
+        combos.extend(combo for combo, _ in grown)
+    specs = [RingSpec(tuple(factors[i] for i in combo)) for combo in combos]
+    return sorted(specs, key=format_ring_spec)
 
 
-def _classify_one(args: tuple[list[RingSpec], int]) -> list[dict]:
+def _classify_one(specs: list[RingSpec]) -> list[dict]:
     """One report per ring of a group whose specs have one `graph_key`.
 
     The group's graph is built, validated and recognized once, from its
     first ring; its equal key means every other ring has the same rows.
     Each ring still gets its own predictions, profiles, degree check,
     component-structure check and ring facts."""
-    specs, max_size = args
-    rings = [build_ring(spec, max_size=max_size) for spec in specs]
+    rings = [build_ring(spec) for spec in specs]
     g = build_idempotent_graph(rings[0])
     recognized = recognize_all(g)
     return [cross_validate(ring, g, recognized) for ring in rings]
@@ -107,26 +113,21 @@ def _classify_one(args: tuple[list[RingSpec], int]) -> list[dict]:
 def run_sweep(config: SweepConfig) -> dict:
     """Cross-validate every sweep ring; returns a deterministic summary.
 
-    The rings are built from one FactorSpec per catalog factor, so each
+    The rings' specs share one FactorSpec per catalog factor, so each
     factor's own facts (its elements, idempotents, atoms, doubling flags
     and offsets) are computed once per sweep, not once per ring.  Rings
     whose specs have equal `graph_key`s, such as GF(4) * Z3 and
-    Z2[x]/(x^2) * Z3, have equal graphs, so each group of them is one job
-    that builds, validates and recognizes its graph once: the default
-    sweep's 403 rings make 222 jobs.  Nothing is kept from one call to the
-    next.  A worker process gets its own copy of the factors of each chunk
-    of jobs it runs."""
-    config.validate()
+    Z2[x]/(x^2) * Z3, have equal graphs, so each group of their specs is
+    one job that builds, validates and recognizes its graph once: the
+    default sweep's 403 rings make 222 jobs.  Nothing is kept from one call
+    to the next.  A worker gets its own copy of the factors of each chunk."""
     specs = enumerate_sweep_specs(config)
     if not specs:
         raise ValueError(f"no catalog ring has at most {config.max_ring_size} elements")
-    # validate() has checked that every catalog entry is local: one factor
-    shared = {format_ring_spec(spec): spec.factors[0] for spec in map(parse_ring_spec, config.catalog)}
     groups: dict[tuple, list[RingSpec]] = {}
-    for s in specs:
-        spec = RingSpec(tuple(shared[text] for text in s.split(" * ")))
+    for spec in specs:
         groups.setdefault(graph_key(spec), []).append(spec)
-    jobs = [(group, config.max_ring_size) for group in groups.values()]
+    jobs = list(groups.values())
     # The pool starts every worker at once, so never ask for more than
     # there are CPUs or graphs.
     workers = min(config.parallelism, os.cpu_count() or 1, len(jobs))
@@ -155,16 +156,10 @@ def run_sweep(config: SweepConfig) -> dict:
         for m in rep["mismatches"]:
             mismatches.append({"spec": rep["spec"], **m})
     return {
-        "config": {
-            "max_ring_size": config.max_ring_size,
-            "max_factors": config.max_factors,
-            "catalog": list(config.catalog),
-            # No sweep draws a random number.  The key stays, fixed, because
-            # perfbench's test_checker_ignores_fields_outside_the_verdicts
-            # deletes it; it goes when that test stops doing so.
-            "random_seed": 0,
-            "parallelism": config.parallelism,
-        },
+        # No sweep draws a random number.  The "random_seed" key stays, fixed,
+        # because perfbench's test_checker_ignores_fields_outside_the_verdicts
+        # deletes it; it goes when that test stops doing so.
+        "config": {**asdict(config), "catalog": list(config.catalog), "random_seed": 0},
         "rings_checked": len(reports),
         "product_rings_checked": sum(1 for r in reports if len(r["factors"]) >= 2),
         "total_vertices": total_vertices,

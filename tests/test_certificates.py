@@ -11,7 +11,7 @@ from idemgraph.certificates import check_outerplanar, check_planar
 from idemgraph.graphs import build_idempotent_graph, graph_from_edges, graph_key, set_bits
 from idemgraph.oracles import kuratowski_oracle
 from idemgraph.recognizers import outerplanar_certificate, planar_certificate
-from idemgraph.rings import build_ring, parse_ring_spec
+from idemgraph.rings import build_ring
 from idemgraph.selftest import random_graph
 from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
 
@@ -106,7 +106,7 @@ class TestCertificatesPass:
         # One graph per graph_key group of the default sweep (222 graphs for
         # 403 rings) and the four classify-large graphs, up to 4,096
         # vertices, beyond the 12 vertices the minor oracles reach.
-        specs = [parse_ring_spec(s) for s in enumerate_sweep_specs(SweepConfig())]
+        specs = enumerate_sweep_specs(SweepConfig())
         groups = {graph_key(spec): spec for spec in specs}
         assert len(groups) == 222
         graphs = [build_idempotent_graph(build_ring(spec)) for spec in groups.values()]

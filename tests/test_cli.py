@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from idemgraph import cli, selftest, sweep
 from idemgraph.cli import main
 from idemgraph.graphs import build_idempotent_graph
-from idemgraph.rings import FiniteRing, build_ring, format_ring_spec
+from idemgraph.rings import FiniteRing, RingSpec, build_ring, format_ring_spec, parse_ring_spec
 from idemgraph.theorems import PROPERTIES, cross_validate
 from idemgraph.sweep import (
     DEFAULT_CATALOG,
@@ -34,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 class TestSweepEnumeration:
     def test_bound_forces_small_products(self):
         config = SweepConfig(max_ring_size=10)
-        specs = enumerate_sweep_specs(config)
+        specs = list(map(format_ring_spec, enumerate_sweep_specs(config)))
         products = [s for s in specs if "*" in s]
         assert "Z2 * Z2" in products
         assert "Z2 * Z3" in products
@@ -47,7 +48,7 @@ class TestSweepEnumeration:
         )
 
     def test_multisets_not_tuples(self):
-        specs = enumerate_sweep_specs(SweepConfig(max_ring_size=64, max_factors=2))
+        specs = list(map(format_ring_spec, enumerate_sweep_specs(SweepConfig(max_ring_size=64, max_factors=2))))
         assert "Z2 * Z3" in specs
         assert "Z3 * Z2" not in specs
 
@@ -68,7 +69,7 @@ class TestSweepEnumeration:
         ],
     )
     def test_pruned_walk_returns_what_the_full_walk_returns(self, config):
-        assert enumerate_sweep_specs(config) == every_multiset_then_filter(config)
+        assert list(map(format_ring_spec, enumerate_sweep_specs(config))) == every_multiset_then_filter(config)
 
     def test_every_spec_up_to_the_size_cap_within_budget(self):
         with time_budget(0.5):
@@ -77,11 +78,15 @@ class TestSweepEnumeration:
         assert len(enumerate_sweep_specs(SweepConfig())) == 403
 
     def test_default_catalog_entries_local(self):
-        SweepConfig().validate()
+        factors = SweepConfig().validate()
+        texts = [format_ring_spec(RingSpec((f,))) for f in factors]
+        assert texts == sorted(map(format_ring_spec, map(parse_ring_spec, DEFAULT_CATALOG)))
 
     def test_nonlocal_catalog_entry_rejected(self):
-        with pytest.raises(ValueError):
-            SweepConfig(catalog=("Z6",)).validate()
+        # Z6 is one spec factor with four idempotents, Z2 * Z3 two spec factors
+        for entry in ("Z6", "Z2 * Z3"):
+            with pytest.raises(ValueError, match=re.escape(f"catalog entry {entry!r} is not a local ring")):
+                SweepConfig(catalog=("Z2", entry)).validate()
 
 
 def eval_size(spec_text):
@@ -275,16 +280,16 @@ class TestSweep:
         jobs = []
         classify_one = sweep._classify_one
 
-        def recording(args):
-            jobs.append(args)
-            return classify_one(args)
+        def recording(group):
+            jobs.append(group)
+            return classify_one(group)
 
         monkeypatch.setattr(sweep, "_classify_one", recording)
         run_sweep(SweepConfig())
         # one job per distinct graph, together holding each ring once
         assert len(jobs) == 222
-        specs = [spec for group, _ in jobs for spec in group]
-        assert sorted(map(format_ring_spec, specs)) == enumerate_sweep_specs(SweepConfig())
+        specs = [spec for group in jobs for spec in group]
+        assert sorted(map(format_ring_spec, specs)) == list(map(format_ring_spec, enumerate_sweep_specs(SweepConfig())))
         assert len({id(f) for spec in specs for f in spec.factors}) == len(DEFAULT_CATALOG) == 13
 
     def test_rings_share_a_graph_exactly_when_their_rows_are_equal(self, monkeypatch):
@@ -296,10 +301,10 @@ class TestSweep:
             built.append(build(ring))
             return built[-1]
 
-        def recording(args):
+        def recording(group):
             built.clear()
-            reports = classify_one(args)
-            jobs.append((args[0], list(built)))
+            reports = classify_one(group)
+            jobs.append((group, list(built)))
             return reports
 
         monkeypatch.setattr(sweep, "build_idempotent_graph", building)
@@ -348,7 +353,7 @@ class TestSweep:
         # four chunks per worker, each with one object per distinct factor
         assert [len(c) for c in chunks] == [28] * 7 + [26]
         for chunk in chunks:
-            factors = [f for group, _ in chunk for spec in group for f in spec.factors]
+            factors = [f for group in chunk for spec in group for f in spec.factors]
             assert len({id(f) for f in factors}) == len(set(factors)) <= len(DEFAULT_CATALOG)
 
     def test_spec_parses_scale_with_the_catalog_not_the_rings(self, monkeypatch):
@@ -369,8 +374,8 @@ class TestSweep:
             rings_checked = run_sweep(SweepConfig(max_factors=max_factors))["rings_checked"]
             per_sweep.append((rings_checked, len(calls)))
         assert [n for n, _ in per_sweep] == [13, 403]
-        # validate(), the walk and the factor lookup parse each entry once
-        assert [c for _, c in per_sweep] == [3 * len(DEFAULT_CATALOG)] * 2
+        # validate() parses each entry once, and nothing else parses
+        assert [c for _, c in per_sweep] == [1 * len(DEFAULT_CATALOG)] * 2
 
     def test_no_factor_data_is_shared_across_parses(self):
         from idemgraph.rings import parse_ring_spec
@@ -433,6 +438,13 @@ class TestCli:
             assert main([command, "Z5000", "--dot", str(dot), "--max-size", "5000"]) == 1
         assert "must be in [1, 4096]" in capsys.readouterr().err
         assert not dot.exists()
+
+    @pytest.mark.parametrize("max_size", ["0", "5000"])
+    def test_verify_max_size_out_of_range_names_the_flag(self, max_size, capsys):
+        with time_budget(1.0):
+            assert main(["verify", "--max-size", max_size]) == 1
+        err = capsys.readouterr().err
+        assert "argument --max-size: must be in [1, 4096]" in err and f"got {max_size}" in err
 
     @pytest.mark.parametrize("command", ["classify", "export"])
     def test_max_size_at_the_ceiling_accepted(self, command, tmp_path, capsys):
@@ -535,8 +547,28 @@ class TestCli:
         path = tmp_path / "catalog.txt"
         path.write_text("# nothing but comments\n\n")
         assert main(["verify", "--catalog", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: the catalog is empty\n")
         assert main(["verify", "--max-size", "1"]) == 1
-        assert "rings checked" not in capsys.readouterr().out
+        assert capsys.readouterr() == ("", "error: no catalog ring has at most 1 elements\n")
+
+    @pytest.mark.parametrize("entry", ["Z6", "Z2 * Z3"])
+    def test_verify_nonlocal_catalog_entry_exit_1(self, entry, tmp_path, capsys):
+        path = tmp_path / "catalog.txt"
+        path.write_text(f"Z2\n{entry}\n")
+        assert main(["verify", "--catalog", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: catalog entry {entry!r} is not a local ring\n")
+
+    def test_cli_defaults_are_the_library_defaults(self):
+        # verify and run_sweep(SweepConfig()) run one sweep, and selftest
+        # and run_selftest() one check, unless a flag says otherwise
+        parser = cli.build_parser()
+        args, config = parser.parse_args(["verify"]), SweepConfig()
+        assert (args.max_size, args.max_factors, args.catalog, args.jobs) == (
+            config.max_ring_size, config.max_factors, None, config.parallelism
+        )
+        args = parser.parse_args(["selftest"])
+        defaults = {name: p.default for name, p in inspect.signature(selftest.run_selftest).parameters.items()}
+        assert {name: getattr(args, name) for name in defaults} == defaults
 
     def test_verify_has_no_seed(self, capsys):
         # No sweep draws a random number, so verify takes no --seed.

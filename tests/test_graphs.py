@@ -249,7 +249,7 @@ def test_every_built_graph_passes_the_full_check():
     # argument; public Graph() walks one graph per graph_key group of the
     # default sweep and each large ring's, and the pair scan checks every
     # sweep graph (at most 256 vertices)
-    specs = [parse_ring_spec(s) for s in enumerate_sweep_specs(SweepConfig())]
+    specs = enumerate_sweep_specs(SweepConfig())
     groups = {graph_key(spec): spec for spec in specs}
     assert (len(specs), len(groups)) == (403, 222)
     for spec in [*groups.values(), *map(parse_ring_spec, CLASSIFY_LARGE)]:

@@ -27,7 +27,7 @@ from helpers import sub, time_budget
 CLOSURE_SPECS = list(
     dict.fromkeys(
         ["Z4", "Z6", "Z9", "GF(4)", "Z3[x]/(x^2)", "GF(4) * Z2", "Z2 * Z9", "Z12", "Z6[x]/(x^2)"]
-        + enumerate_sweep_specs(SweepConfig())
+        + list(map(format_ring_spec, enumerate_sweep_specs(SweepConfig())))
     )
 )
 

@@ -38,7 +38,7 @@ from .graphs import Graph, masked_components, set_bits
 def check_planar(g: Graph, cert) -> bool:
     pieces = _glued(g, cert)
     return pieces is not None and all(
-        k <= 4 or m <= 8 if faces is None else _embeds(g.rows, g.degrees, verts, faces)
+        k <= 4 or m <= 8 if faces is None else _embeds(g.rows, g.degrees, verts, m, faces)
         for verts, k, m, faces in pieces
     )
 
@@ -55,7 +55,7 @@ def check_outerplanar(g: Graph, cert) -> bool:
             continue
         if apex is None:
             apex = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1], [d + 1 for d in g.degrees] + [g.n]
-        if not _embeds(*apex, verts | 1 << g.n, faces):
+        if not _embeds(*apex, verts | 1 << g.n, m + k, faces):  # the apex adds k edges
             return False
     return True
 
@@ -99,10 +99,10 @@ def _glued(g: Graph, cert) -> list[tuple[int, int, int, list | None]] | None:
     return out if total == g.edge_count() else None
 
 
-def _embeds(rows, degrees, verts: int, faces) -> bool:
+def _embeds(rows, degrees, verts: int, edges: int, faces) -> bool:
     """Whether faces, each a list of vertices in cyclic order, are the faces
-    of a planar embedding of the subgraph that the vertex mask verts induces
-    in the graph with these rows and degrees.
+    of a planar embedding of the subgraph, of the given number of edges, that
+    the vertex mask verts induces in the graph with these rows and degrees.
 
     A face that runs p, x, q says the rotation at x takes p to q.  With
     every directed edge on exactly one face these turns are a permutation
@@ -120,7 +120,6 @@ def _embeds(rows, degrees, verts: int, faces) -> bool:
             if not (0 <= p and 0 <= x and verts >> p & 1 and (rows[p] & verts) >> x & 1) or (p, x) in turn:
                 return False
             turn[p, x] = q
-    edges = sum((rows[x] & verts).bit_count() for x in set_bits(verts)) // 2
     if len(turn) != 2 * edges or verts.bit_count() - edges + len(faces) != 2:
         return False
     for x in set_bits(verts):

@@ -6,7 +6,9 @@ Commands:
   selftest [--exhaustive-n N] [--random-count C] [--random-n M] [--seed S]
   export   <spec> --dot FILE [--labels] [--max-size N]
 
---max-size N must lie in [1, rings.DEFAULT_MAX_RING_SIZE] wherever it is taken.
+The integer flags but --seed are bounded: --max-size N in [1, rings.DEFAULT_MAX_RING_SIZE]
+wherever it is taken, the selftest sizes in [0, selftest.MAX_*], the others >= 1.
+A value outside is an argparse error that names the flag.
 
 Exit codes: 0 success, 1 usage/input error, 2 prediction/recognizer mismatch.
 """
@@ -18,14 +20,8 @@ import sys
 
 from .graphs import build_idempotent_graph, export_dot
 from .rings import DEFAULT_MAX_RING_SIZE, RingSizeError, RingSpecError, build_ring
-from .selftest import run_selftest
-from .sweep import (
-    DEFAULT_CATALOG,
-    SweepConfig,
-    load_catalog_file,
-    run_sweep,
-    summary_json,
-)
+from .selftest import MAX_EXHAUSTIVE_N, MAX_RANDOM_COUNT, MAX_RANDOM_N, run_selftest
+from .sweep import DEFAULT_CATALOG, SweepConfig, load_catalog_file, run_sweep, summary_json
 from .theorems import PROPERTIES, cross_validate
 
 EXIT_OK = 0
@@ -132,12 +128,21 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def ring_size_bound(text: str) -> int:
-    """A --max-size value: at most the bound the sweep also enforces."""
-    n = int(text)
-    if not 1 <= n <= DEFAULT_MAX_RING_SIZE:
-        raise argparse.ArgumentTypeError(f"must be in [1, {DEFAULT_MAX_RING_SIZE}], got {n}")
-    return n
+def int_in(low: int, high: int | None = None):
+    """An argparse type: an int of at least low, and at most high if given."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low or high is not None and n > high:
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse's text for a non-integer: invalid int value
+    return parse
+
+
+ring_size = int_in(1, DEFAULT_MAX_RING_SIZE)  # the bound the sweep also enforces
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,25 +158,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--dot", metavar="PATH", help="also write the graph as DOT")
     p.add_argument("--labels", action="store_true", help="label DOT nodes with ring elements")
-    p.add_argument(
-        "--max-size", type=ring_size_bound, default=DEFAULT_MAX_RING_SIZE, help="ring size bound"
-    )
+    p.add_argument("--max-size", type=ring_size, default=DEFAULT_MAX_RING_SIZE, help="ring size bound")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="sweep catalog products and cross-validate")
     p.add_argument(
-        "--max-size", type=ring_size_bound, default=SweepConfig.max_ring_size, help="largest ring in the sweep"
+        "--max-size", type=ring_size, default=SweepConfig.max_ring_size, help="largest ring in the sweep"
     )
-    p.add_argument("--max-factors", type=int, default=SweepConfig.max_factors, help="largest factor multiset")
+    p.add_argument(
+        "--max-factors", type=int_in(1), default=SweepConfig.max_factors, help="largest factor multiset"
+    )
     p.add_argument("--catalog", metavar="FILE", help="catalog file, one spec per line")
-    p.add_argument("--jobs", type=int, default=SweepConfig.parallelism, help="parallel workers")
+    p.add_argument("--jobs", type=int_in(1), default=SweepConfig.parallelism, help="parallel workers")
     p.add_argument("--json", action="store_true", help="emit the summary as JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("selftest", help="compare recognizers with brute-force oracles")
-    p.add_argument("--exhaustive-n", type=int, default=6)
-    p.add_argument("--random-count", type=int, default=500)
-    p.add_argument("--random-n", type=int, default=12)
+    p.add_argument("--exhaustive-n", type=int_in(0, MAX_EXHAUSTIVE_N), default=6)
+    p.add_argument("--random-count", type=int_in(0, MAX_RANDOM_COUNT), default=500)
+    p.add_argument("--random-n", type=int_in(0, MAX_RANDOM_N), default=12)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
 
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--dot", metavar="FILE", required=True)
     p.add_argument("--labels", action="store_true")
-    p.add_argument("--max-size", type=ring_size_bound, default=DEFAULT_MAX_RING_SIZE)
+    p.add_argument("--max-size", type=ring_size, default=DEFAULT_MAX_RING_SIZE)
     p.set_defaults(func=cmd_export)
     return parser
 

@@ -104,22 +104,22 @@ def _planar_block(rows, degrees, verts: int) -> list[list[int]] | None:
     admits must go there, so it is embedded first; when every fragment has
     two or more, any choice keeps a planar block embeddable.
 
-    Fragments are kept from step to step, each with the faces that admit
-    it.  The fragments a step makes (the chords at the path's new vertices
-    and the pieces of the component it ran through) touch the path's
-    interior, so only the two halves of the split face can admit them.  Of
-    the older fragments, only those at the vertices that leave the split
-    face, or at the path's two ends alone, change; the half on the shorter
-    side is the one rebuilt, so a long face is not rescanned for every cut.
+    Fragments are kept from step to step: `fits` holds each one's
+    attachment mask and the faces that admit it, and `at` finds, from a
+    vertex, the fragments attached there, the ones a split can change.  The
+    fragments a step makes (the chords at the path's new vertices and the
+    pieces of the component it ran through) touch the path's interior, so
+    only the two halves of the split face can admit them.  Of the older
+    fragments, only those at the vertices that leave the split face, or at
+    the path's two ends alone, change; the half on the shorter side is the
+    one rebuilt, so a long face is not rescanned for every cut.
     """
     u = _low(verts)
     v = _low(rows[u] & verts)
     path = _path(rows, v, verts & ~(1 << u | 1 << v), 1 << u)
     faces = [path, path[::-1]]
     masks = [_mask(path)] * 2
-    admits = [set(), set()]  # face -> the fragments it admits
-    fits = {}  # fragment -> the faces that admit it
-    attach = {}  # fragment -> its attachment mask
+    fits = {}  # fragment -> (its attachment mask, the faces that admit it)
     at = defaultdict(set)  # vertex -> fragments attached there
     forced = []  # fragments that may have one admitting face, or none
     placed = 0
@@ -139,31 +139,24 @@ def _planar_block(rows, degrees, verts: int) -> list[list[int]] | None:
                 att |= rows[x]
             made.append((comp, att & placed))
         for key, att in made:
-            attach[key] = att
-            fits[key] = options = set()
-            for c in halves:
-                if not att & ~masks[c]:
-                    options.add(c)
-                    admits[c].add(key)
+            options = {c for c in halves if not att & ~masks[c]}
+            fits[key] = att, options
             for x in set_bits(att):
                 at[x].add(key)
             if len(options) < 2:
                 forced.append(key)
-        while forced and (forced[-1] not in fits or len(fits[forced[-1]]) > 1):
+        while forced and (forced[-1] not in fits or len(fits[forced[-1]][1]) > 1):
             forced.pop()
         if forced:
             key = forced.pop()
-            options = fits.pop(key)
+            att, options = fits.pop(key)
         elif fits:
-            key, options = fits.popitem()
+            key, (att, options) = fits.popitem()
         else:
             return faces
         if not options:
             return None
         f = min(options)
-        for c in options:
-            admits[c].discard(key)
-        att = attach.pop(key)
         for x in set_bits(att):
             at[x].discard(key)
         if isinstance(key, tuple):
@@ -190,23 +183,22 @@ def _planar_block(rows, degrees, verts: int) -> list[list[int]] | None:
         cut, ends, mid = _mask(side), 1 << a | 1 << b, _mask(inner)
         masks[f] = masks[f] & ~cut | mid
         masks.append(cut | ends | mid)
-        admits.append(set())
         halves = f, k
         touched = set()
         for x in side:
             touched |= at[x]
-        for other in touched & admits[f]:
-            fits[other].discard(f)
-            admits[f].discard(other)
-            if not attach[other] & ~masks[k]:
-                fits[other].add(k)
-                admits[k].add(other)
-            elif len(fits[other]) < 2:
-                forced.append(other)
-        for other in (at[a] if len(at[a]) < len(at[b]) else at[b]) & admits[f]:
-            if not attach[other] & ~ends:
-                fits[other].add(k)
-                admits[k].add(other)
+        for other in touched:
+            att, options = fits[other]
+            if f in options:
+                options.discard(f)
+                if not att & ~masks[k]:
+                    options.add(k)
+                elif len(options) < 2:
+                    forced.append(other)
+        for other in at[a] if len(at[a]) < len(at[b]) else at[b]:
+            att, options = fits[other]
+            if f in options and not att & ~ends:
+                options.add(k)
 
 
 def _path(rows, a: int, body: int, targets: int) -> list[int]:

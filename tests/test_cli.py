@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import inspect
@@ -570,6 +571,29 @@ class TestCli:
         defaults = {name: p.default for name, p in inspect.signature(selftest.run_selftest).parameters.items()}
         assert {name: getattr(args, name) for name in defaults} == defaults
 
+    def test_cli_docs_list_the_parser_flags(self):
+        # The command lines of the cli docstring and of README's CLI block name
+        # exactly the flags build_parser() defines, and each number README
+        # shows after a flag is that flag's default.
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        defaults = {
+            name: {a.option_strings[-1]: a.default for a in sub._actions if a.option_strings and a.dest != "help"}
+            for name, sub in commands.items()
+        }
+        docstring = cli.__doc__.split("Commands:\n", 1)[1].split("\n\n", 1)[0]
+        readme = re.search(r"## CLI\n\n```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+        for doc, lines in (("docstring", docstring.splitlines()), ("README", readme.splitlines())):
+            listed = {}
+            for line in lines:
+                command, rest = line.removeprefix("idemgraph").split(None, 1)
+                listed[command] = dict(re.findall(r"(--[a-z-]+)(?: (\d+))?", rest))
+            assert {c: set(flags) for c, flags in listed.items()} == {c: set(d) for c, d in defaults.items()}, doc
+            if doc == "README":
+                shown = {(c, f): int(v) for c, flags in listed.items() for f, v in flags.items() if v}
+                assert shown == {(c, f): defaults[c][f] for c, f in shown}
+                assert len(shown) == 8
+
     def test_verify_has_no_seed(self, capsys):
         # No sweep draws a random number, so verify takes no --seed.
         assert main(["verify", "--seed", "1"]) == 1
@@ -616,8 +640,21 @@ class TestCli:
         with time_budget(1.0):
             assert main(["selftest", flag, value]) == 1
         err = capsys.readouterr().err
-        assert flag[2:].replace("-", "_") in err and f"got {value}" in err
+        assert f"argument {flag}:" in err and f"got {value}" in err
         assert built == []
+
+    @pytest.mark.parametrize("flag", ["--max-factors", "--jobs"])
+    def test_verify_rejects_counts_below_one(self, flag, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("a sweep ran"))
+        with time_budget(1.0):
+            assert main(["verify", flag, "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: argument {flag}: must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("argv", [["verify", "--jobs", "two"], ["classify", "Z6", "--max-size", "two"]])
+    def test_non_integer_flag_value_is_an_invalid_int(self, argv, capsys):
+        assert main(argv) == 1
+        assert f"argument {argv[-2]}: invalid int value: 'two'" in capsys.readouterr().err
 
     def test_usage_error(self):
         assert main(["classify"]) == 1

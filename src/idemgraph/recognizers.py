@@ -195,9 +195,11 @@ def _planar_block(rows, degrees, verts: int) -> list[list[int]] | None:
                     options.add(k)
                 elif len(options) < 2:
                     forced.append(other)
+        # A fragment attached only at a and b already fits f, which holds
+        # both, so it gains k without a test for f.
         for other in at[a] if len(at[a]) < len(at[b]) else at[b]:
             att, options = fits[other]
-            if f in options and not att & ~ends:
+            if not att & ~ends:
                 options.add(k)
 
 

@@ -443,6 +443,53 @@ class TestComponents:
         assert sorted(v for c in comps for v in c) == list(range(7))
 
 
+# Rings whose built components come from the factor graphs: one large
+# factor, and every case of the product: a non-bipartite factor part times a
+# non-bipartite or bipartite one and a bipartite part times either, with a
+# bipartite product carried into a later factor.
+PRODUCT_RINGS = CLASSIFY_LARGE + [
+    "Z4096",
+    "Z2*Z2048",
+    "Z3[x]/(x^2)*GF(9)*Z5",
+    "GF(9)*GF(9)*GF(9)*Z5",
+    "GF(25)*GF(49)",
+    "Z9*Z8*Z4",
+    "Z4[x]/(x^2)*Z8",
+]
+
+
+class TestProductComponents:
+    @pytest.mark.parametrize("spec", PRODUCT_RINGS)
+    def test_built_components_equal_the_search(self, spec):
+        g = build_idempotent_graph(build_ring(spec))
+        assert g._components is not None  # the builder's, not a search on first use
+        assert g.components() == tuple(masked_components(g.rows, (1 << g.n) - 1, g.degrees))
+
+    def test_built_graphs_are_not_searched(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("masked_components called")
+
+        monkeypatch.setattr(graphs_module, "masked_components", search)
+        g = build_idempotent_graph(build_ring("Z3[x]/(x^2)"))
+        assert g.components() == ((0b001001001, 3, 2), (0b110110110, 6, 6))
+        assert census_set(g) == [(3, "path"), (6, "even-cycle")]
+
+    @pytest.mark.parametrize(
+        "part",
+        [(0b011, None, 0, 0, 2), (0b111, None, 0, 0, 1), (0b111, None, 0, 0, 3)],
+        ids=["a-vertex-left-out", "a-loop-too-few", "a-loop-too-many"],
+    )
+    def test_parts_that_do_not_partition_the_graph_are_rejected(self, part):
+        # Z3's factor graph is the path 0 - 1 - 2 with loops at 0 and 2
+        r = build_ring("Z3 * Z4")
+        factor = r.spec.factors[0]
+        assert factor.parts == ((0b111, None, 0, 0, 2),)
+        factor.__dict__["parts"] = (part,)  # the cached_property's slot
+        with pytest.raises(ValueError) as raised:
+            build_idempotent_graph(r)
+        assert str(raised.value) == "the factor graphs' components do not partition the graph"
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=8), st.one_of(st.just(-1), st.integers(min_value=0, max_value=255)))
 def test_complement_walk_equals_components_of_the_complement(g, mask):

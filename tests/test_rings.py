@@ -50,6 +50,36 @@ def additive_order(r, x):
     return k
 
 
+def scan_parts(r):
+    """The components of the graph with loops on the elements, x ~ y when
+    x + y is idempotent (x = y allowed), by least index, in the form of
+    `FactorSpec.parts`: a search from each least index 2-colours what it
+    reaches, and one edge within a colour makes the component non-bipartite."""
+    ids = scan_idempotents(r)
+    n = len(r.elements)
+    adjacent = [[j for j, y in enumerate(r.elements) if r.add(x, y) in ids] for x in r.elements]
+    colour, out = {}, []
+    for lo in range(n):
+        if lo in colour:
+            continue
+        colour[lo], todo, members, odd = 0, [lo], [lo], False
+        while todo:
+            a = todo.pop()
+            for j in adjacent[a]:
+                if j not in colour:
+                    colour[j] = 1 - colour[a]
+                    todo.append(j)
+                    members.append(j)
+                odd |= colour[j] == colour[a]
+        mask = sum(1 << a for a in members)
+        if odd:
+            out.append((mask, None, lo, 0, sum(a in adjacent[a] for a in members)))
+        else:
+            zero = sum(1 << a for a in members if colour[a] == 0)
+            out.append((mask, zero, lo, min(a for a in members if colour[a]), 0))
+    return tuple(out)
+
+
 def scan_atoms(r):
     """Minimal nonzero idempotents under e*f == f, by element index, with
     |R e| from a full scan and the characteristic from repeated addition."""
@@ -328,10 +358,11 @@ class TestFactorSpecData:
         assert f.doubles_idempotent == tuple(r.add(x, x) in ids for x in r.elements)
         index = {x: i for i, x in enumerate(r.elements)}
         assert f.offsets == tuple(tuple(index[sub(r, e, x)] for e in ids) for x in r.elements)
+        assert f.parts == scan_parts(r)
 
     def test_computed_once_per_factor_object(self):
         (f,) = parse_ring_spec("GF(8)").factors
-        for name in ("elements", "idempotents", "atoms", "doubles_idempotent", "offsets"):
+        for name in ("elements", "idempotents", "atoms", "doubles_idempotent", "offsets", "parts"):
             assert getattr(f, name) is getattr(f, name)
 
 

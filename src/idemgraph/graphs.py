@@ -1,14 +1,12 @@
 """Immutable simple undirected graphs with bitset adjacency rows.
 
 Includes the idempotent-graph construction (vertices = ring elements,
-x ~ y iff x + y is idempotent) with its components taken from the factor
-graphs, structural queries, named pattern constructors used by the
-recognizer oracles, and DOT export.
+x ~ y iff x + y is idempotent) with its components taken from the cosets
+of the idempotents' additive span, structural queries, named pattern
+constructors used by the recognizer oracles, and DOT export.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .rings import FiniteRing, RingSpec, idempotents
 
@@ -20,8 +18,8 @@ class Graph:
     and edge counts, are whole-graph facts that several recognizers and the
     report read, so each is computed once: the degrees and edge count while
     the rows are validated, the components by `build_idempotent_graph` from
-    the factor graphs (Weichsel's theorem) for the graphs it builds, and by
-    a search on first use for every other graph.
+    the cosets of the idempotents' additive span for the graphs it builds,
+    and by a search on first use for every other graph.
 
     `Graph(n, rows)` validates the rows in full and raises ValueError at the
     first fault.  It checks the row count, then row by row a bit at or
@@ -134,7 +132,7 @@ def graph_key(spec: RingSpec) -> tuple:
     """Everything `build_idempotent_graph` reads of a ring with this spec:
     each factor's `FactorSpec.offsets` and `FactorSpec.doubles_idempotent`,
     in factor order, and what follows from them (the sizes, the idempotent
-    counts and `FactorSpec.parts`).  Rings with equal keys therefore have
+    counts and `FactorSpec.cosets`).  Rings with equal keys therefore have
     equal rows, so one graph serves them all; factors with equal keys, such
     as GF(4) and Z2[x]/(x^2), have the same additive group with the 1 in the
     same place."""
@@ -175,10 +173,10 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     factor and the pair.  The rows then go to `_symmetric_graph`, which
     still checks the row count, the range and the loops.
 
-    The same product gives the components, with no search over the rows:
-    `_product_components` takes them from the factor graphs' components by
-    Weichsel's theorem and stores them on the graph, where
-    `Graph.components()` finds them.
+    The components need no search either: they are the cosets of the
+    idempotents' additive span, paired with their negatives, which
+    `_product_components` multiplies out of the factors' cosets and stores
+    on the graph, where `Graph.components()` finds them.
 
     Nothing else of the ring is read (`graph_key` lists what is), so a
     builder that comes to read more must add it to the key.
@@ -220,74 +218,55 @@ def _product_rows(factors) -> list[int]:
 def _product_components(factors, degree: int, g: Graph) -> tuple[tuple[int, int, int], ...]:
     """The components of g, the graph that `build_idempotent_graph` built
     from these factors, as `Graph.components()` gives them, taken from the
-    factor graphs' components (`FactorSpec.parts`) with no search.
+    factors' cosets (`FactorSpec.cosets`) with no search.
 
-    Before its loops are cleared, g is the Kronecker product of the factor
-    graphs, loops kept, so it is combined from the last factor to the
-    first, as the rows are.  Vertex (b, a) of a factor graph times the
-    product of the later factors is b * width + a, width that product's
-    vertex count, and B ⊗ A stands for the (b, a) with b in B and a in A.
-    By Weichsel's theorem (P. M. Weichsel, "The Kronecker product of
-    graphs", Proc. AMS 13, 1962), for connected B and A, B × A is
-    connected unless both are bipartite; it is bipartite when either is,
-    coloured by that one's classes; and when both are, it has two
-    components, B0 ⊗ A0 ∪ B1 ⊗ A1 and B0 ⊗ A1 ∪ B1 ⊗ A0.  The mask of
-    B ⊗ A is A's mask times the spread of B, the sum of 1 << (b * width)
-    over b in B: a product with no carries, since A's mask is below
-    1 << width.  A loop at (b, a) needs one at b and one at a.  Each part
-    carries, as the factors' parts do, its mask, the mask of the colour
-    class of its least vertex (None when not bipartite), that vertex, the
-    other class's least vertex (read only when bipartite) and its loop
-    count.
+    g is the addition Cayley graph of (R, +) on Id(R) (Grynkiewicz, Lev and
+    Serra, J. Combin. Theory Ser. B 99(1), 2009), so the component of x is
+    (x + D) u (-x + D), D the additive span of Id(R): the product of the
+    factors' spans.  Its cosets are multiplied out from the last factor to
+    the first, as the rows are.  With width the size of the later product,
+    C_b x C_a has C_a's mask times the spread of C_b (the sum of
+    1 << (b * width) over b in C_b, a product with no carries), negative
+    neg_b * count + neg_a, count the later product's number of cosets, and
+    loops_b * loops_a loops.  In this order the cosets are ordered by least
+    element, so a component is C at the first of C and -C, joined with -C.
 
     Every row had `degree` bits before its loop was cleared, so a
     component of k vertices with c loops has (k * degree - c) / 2 edges.
     The result is checked without a walk over the rows: the masks must add
     up to all n bits with counts that sum to n, so they are disjoint and
     cover every vertex, and the edge counts must sum to g's.  ValueError
-    otherwise."""
-    # The parts are lists, not tuples: the interpreter keeps freed tuples on
-    # a free list, and the 1,024 parts of GF(64)^2 held there raised the
-    # classify-large workload's peak RSS by about 0.5 MB.
-    parts = [[1, None, 0, 0, 1]]  # the product of no factors: one vertex with a loop
+    otherwise.  Any partition passes that check, a wrong pairing of C and
+    -C included; Tier-1's comparison with `masked_components` is its anchor."""
+    # The cosets are lists, not tuples: the interpreter keeps freed tuples
+    # on a free list, and the 1,024 cosets of GF(64)^2 held there raised
+    # the classify-large workload's peak RSS by about 0.5 MB.
+    cosets = [[1, 0, 1]]  # the product of no factors: one element, 2 * 0 = 0 idempotent
     width = 1
     for f in reversed(factors):
+        count = len(cosets)
         wider = []
-        for mask_b, zero_b, lo_b, lo1_b, loops_b in f.parts:
+        for mask_b, neg_b, loops_b in f.cosets:
             spread = _spread(mask_b, width)
-            lo_b *= width
-            if zero_b is None:
-                wider += [
-                    [mask * spread, None if zero is None else zero * spread, lo_b + lo, lo_b + lo1, loops * loops_b]
-                    for mask, zero, lo, lo1, loops in parts
-                ]
-                continue
-            spread0 = _spread(zero_b, width)
-            spread1 = spread - spread0
-            lo1_b *= width
-            for mask, zero, lo, lo1, _ in parts:
-                if zero is None:
-                    wider.append([mask * spread, mask * spread0, lo_b + lo, lo1_b + lo, 0])
-                    continue
-                one = mask - zero
-                x0, y0 = zero * spread0, one * spread0
-                x1, y1 = one * spread1, zero * spread1
-                wider.append([x0 + x1, x0, lo_b + lo, lo1_b + lo1, 0])
-                wider.append([y0 + y1, y0, lo_b + lo1, lo1_b + lo, 0])
-        parts = wider
+            wider += [[mask * spread, neg_b * count + neg, loops * loops_b] for mask, neg, loops in cosets]
+        cosets = wider
         width *= f.size
-    parts.sort(key=itemgetter(2))
+    out = []
     covered = vertices = edges = 0
-    for i, (mask, _, _, _, c) in enumerate(parts):
+    for i, (mask, neg, loops) in enumerate(cosets):
+        if neg < i:
+            continue
+        if neg > i:
+            mask += cosets[neg][0]
         k = mask.bit_count()
-        m = (k * degree - c) // 2
-        parts[i] = (mask, k, m)
+        m = (k * degree - loops) // 2
+        out.append((mask, k, m))
         covered += mask
         vertices += k
         edges += m
     if covered != (1 << g.n) - 1 or vertices != g.n or edges != g.edge_count():
         raise ValueError("the factor graphs' components do not partition the graph")
-    return tuple(parts)
+    return tuple(out)
 
 
 def _spread(mask: int, width: int) -> int:

@@ -136,41 +136,32 @@ class FactorSpec:
         return tuple(out)
 
     @cached_property
-    def parts(self) -> tuple[tuple[int, int | None, int, int, int], ...]:
-        """The components of the factor graph, in which a ~ j when j is in
-        offsets[a], ordered by least vertex.  It has a loop at a when 2a is
-        idempotent, always at 0, so it is not simple.  Each component is
-        (mask, zero, lo, lo1, loops): its vertex bitmask; the mask of the
-        colour class that holds its least vertex lo, or None when it is not
-        bipartite; lo; the other class's least vertex lo1, read only when it
-        is bipartite (0 here otherwise); and its number of loops, 0 when
-        bipartite.  These are the parts that `graphs._product_components`
-        combines."""
+    def cosets(self) -> tuple[tuple[int, int, int], ...]:
+        """The cosets C of D, the additive span of the idempotents, ordered
+        by least element, each as (mask, neg, loops): its element bitmask,
+        the index of -C here, and the number of a in C with 2a idempotent.
+        That number is 0 unless C = -C, since 2a = e puts -a = a - e in C.
+        These are what `graphs._product_components` multiplies out.
+
+        The search from each least element walks a -> a + e: offsets[a][0]
+        is -a, as idempotents[0] is 0, and offsets[-a] lists every a + e."""
         table, doubles = self.offsets, self.doubles_idempotent
-        colour = [-1] * self.size
-        out = []
+        coset = [-1] * self.size
+        found = []
         for lo in range(self.size):
-            if colour[lo] >= 0:
+            if coset[lo] >= 0:
                 continue
-            colour[lo] = 0
+            coset[lo] = len(found)
             reached = [lo]
-            bipartite = True
             for a in reached:  # a search that appends to the list it walks
-                c = 1 - colour[a]
-                for j in table[a]:
-                    if colour[j] < 0:
-                        colour[j] = c
+                for j in table[table[a][0]]:
+                    if coset[j] < 0:
+                        coset[j] = coset[lo]
                         reached.append(j)
-                    elif colour[j] != c:
-                        bipartite = False
-            mask = sum(1 << a for a in reached)
-            if bipartite:
-                zero = sum(1 << a for a in reached if not colour[a])
-                lo1 = min(a for a in reached if colour[a])
-                out.append((mask, zero, lo, lo1, 0))
-            else:
-                out.append((mask, None, lo, 0, sum(doubles[a] for a in reached)))
-        return tuple(out)
+            found.append(reached)
+        return tuple(
+            (sum(1 << a for a in c), coset[table[c[0]][0]], sum(doubles[a] for a in c)) for c in found
+        )
 
 
 @dataclass(frozen=True)

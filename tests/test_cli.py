@@ -1,12 +1,14 @@
 import argparse
 import ast
 import hashlib
+import importlib
 import inspect
 import itertools
 import json
 import math
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,10 +16,19 @@ from pathlib import Path
 
 import pytest
 
+import idemgraph
 from idemgraph import cli, selftest, sweep
 from idemgraph.cli import main
-from idemgraph.graphs import build_idempotent_graph
-from idemgraph.rings import FiniteRing, RingSpec, build_ring, format_ring_spec, parse_ring_spec
+from idemgraph.graphs import Graph, build_idempotent_graph
+from idemgraph.rings import (
+    FactorSpec,
+    FiniteRing,
+    LocalFactorProfile,
+    RingSpec,
+    build_ring,
+    format_ring_spec,
+    parse_ring_spec,
+)
 from idemgraph.theorems import PROPERTIES, cross_validate
 from idemgraph.sweep import (
     DEFAULT_CATALOG,
@@ -593,6 +604,28 @@ class TestCli:
                 shown = {(c, f): int(v) for c, flags in listed.items() for f, v in flags.items() if v}
                 assert shown == {(c, f): defaults[c][f] for c, f in shown}
                 assert len(shown) == 8
+
+    def test_readme_names_resolve(self):
+        # Every backticked dotted name in README that starts with a module of
+        # the package, or with one of the classes below, names an attribute
+        # there, so a renamed or removed one cannot linger in the docs.
+        modules = {m.name for m in pkgutil.iter_modules(idemgraph.__path__)}
+        classes = {c.__name__: c for c in (FactorSpec, RingSpec, Graph, FiniteRing, SweepConfig, LocalFactorProfile)}
+        text = (ROOT / "README.md").read_text()
+        checked = []
+        for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\([^`]*\))?`", text))):
+            head, *path = name.removeprefix("idemgraph.").split(".")
+            if head in modules:
+                obj = importlib.import_module(f"idemgraph.{head}")
+            elif head in classes:
+                obj = classes[head]
+            else:
+                continue
+            for attr in path:
+                assert hasattr(obj, attr), name
+                obj = getattr(obj, attr)
+            checked.append(name)
+        assert len(checked) > 20  # the pattern still finds them
 
     def test_verify_has_no_seed(self, capsys):
         # No sweep draws a random number, so verify takes no --seed.

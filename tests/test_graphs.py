@@ -443,10 +443,10 @@ class TestComponents:
         assert sorted(v for c in comps for v in c) == list(range(7))
 
 
-# Rings whose built components come from the factor graphs: one large
-# factor, and every case of the product: a non-bipartite factor part times a
-# non-bipartite or bipartite one and a bipartite part times either, with a
-# bipartite product carried into a later factor.
+# Rings whose built components come from the factors' cosets: one large
+# factor, cosets that are their own negatives and cosets paired with their
+# negatives, in one factor or only in the product, with a pairing carried
+# into a later factor, and a non-local factor whose cosets pair up.
 PRODUCT_RINGS = CLASSIFY_LARGE + [
     "Z4096",
     "Z2*Z2048",
@@ -455,6 +455,8 @@ PRODUCT_RINGS = CLASSIFY_LARGE + [
     "GF(25)*GF(49)",
     "Z9*Z8*Z4",
     "Z4[x]/(x^2)*Z8",
+    "Z3[x]/(x^3 + x^2)*GF(9)",
+    "Z3[x]/(x^3 + x^2)*Z4[x]/(x^2)",
 ]
 
 
@@ -475,16 +477,17 @@ class TestProductComponents:
         assert census_set(g) == [(3, "path"), (6, "even-cycle")]
 
     @pytest.mark.parametrize(
-        "part",
-        [(0b011, None, 0, 0, 2), (0b111, None, 0, 0, 1), (0b111, None, 0, 0, 3)],
+        "coset",
+        [(0b011, 0, 2), (0b111, 0, 1), (0b111, 0, 3)],
         ids=["a-vertex-left-out", "a-loop-too-few", "a-loop-too-many"],
     )
-    def test_parts_that_do_not_partition_the_graph_are_rejected(self, part):
-        # Z3's factor graph is the path 0 - 1 - 2 with loops at 0 and 2
+    def test_cosets_that_do_not_partition_the_graph_are_rejected(self, coset):
+        # Z3's idempotents span it: one coset, its own negative, with 2a
+        # idempotent at 0 and 2
         r = build_ring("Z3 * Z4")
         factor = r.spec.factors[0]
-        assert factor.parts == ((0b111, None, 0, 0, 2),)
-        factor.__dict__["parts"] = (part,)  # the cached_property's slot
+        assert factor.cosets == ((0b111, 0, 2),)
+        factor.__dict__["cosets"] = (coset,)  # the cached_property's slot
         with pytest.raises(ValueError) as raised:
             build_idempotent_graph(r)
         assert str(raised.value) == "the factor graphs' components do not partition the graph"

@@ -50,34 +50,27 @@ def additive_order(r, x):
     return k
 
 
-def scan_parts(r):
-    """The components of the graph with loops on the elements, x ~ y when
-    x + y is idempotent (x = y allowed), by least index, in the form of
-    `FactorSpec.parts`: a search from each least index 2-colours what it
-    reaches, and one edge within a colour makes the component non-bipartite."""
+def scan_cosets(r):
+    """The cosets C of D, the additive closure of the idempotents, by least
+    index, in the form of `FactorSpec.cosets`: each with its mask, the index
+    of -C and the number of x in C with 2x idempotent."""
     ids = scan_idempotents(r)
-    n = len(r.elements)
-    adjacent = [[j for j, y in enumerate(r.elements) if r.add(x, y) in ids] for x in r.elements]
-    colour, out = {}, []
-    for lo in range(n):
-        if lo in colour:
-            continue
-        colour[lo], todo, members, odd = 0, [lo], [lo], False
-        while todo:
-            a = todo.pop()
-            for j in adjacent[a]:
-                if j not in colour:
-                    colour[j] = 1 - colour[a]
-                    todo.append(j)
-                    members.append(j)
-                odd |= colour[j] == colour[a]
-        mask = sum(1 << a for a in members)
-        if odd:
-            out.append((mask, None, lo, 0, sum(a in adjacent[a] for a in members)))
-        else:
-            zero = sum(1 << a for a in members if colour[a] == 0)
-            out.append((mask, zero, lo, min(a for a in members if colour[a]), 0))
-    return tuple(out)
+    d = additive_closure(r, ids)
+    cosets, found = [], set()
+    for x in r.elements:
+        if x not in found:
+            coset = frozenset(r.add(x, y) for y in d)
+            cosets.append(coset)
+            found |= coset
+    index = {x: i for i, x in enumerate(r.elements)}
+    return tuple(
+        (
+            sum(1 << index[x] for x in c),
+            cosets.index(frozenset(map(r.neg, c))),
+            sum(r.add(x, x) in ids for x in c),
+        )
+        for c in cosets
+    )
 
 
 def scan_atoms(r):
@@ -336,8 +329,10 @@ class TestIdempotents:
 
 
 # The catalog's local factors, non-local factors (two or three atoms, an
-# atom whose local factor is smaller than the factor) and the largest field.
-FACTOR_TEXTS = list(DEFAULT_CATALOG) + ["Z6", "Z12", "Z2[x]/(x^2 + x)", "GF(64)"]
+# atom whose local factor is smaller than the factor, and Z3[x]/(x^2) x Z3,
+# whose idempotents span a third of it, with two cosets negatives of each
+# other) and the largest field.
+FACTOR_TEXTS = list(DEFAULT_CATALOG) + ["Z6", "Z12", "Z2[x]/(x^2 + x)", "Z3[x]/(x^3 + x^2)", "GF(64)"]
 
 
 class TestFactorSpecData:
@@ -358,11 +353,11 @@ class TestFactorSpecData:
         assert f.doubles_idempotent == tuple(r.add(x, x) in ids for x in r.elements)
         index = {x: i for i, x in enumerate(r.elements)}
         assert f.offsets == tuple(tuple(index[sub(r, e, x)] for e in ids) for x in r.elements)
-        assert f.parts == scan_parts(r)
+        assert f.cosets == scan_cosets(r)
 
     def test_computed_once_per_factor_object(self):
         (f,) = parse_ring_spec("GF(8)").factors
-        for name in ("elements", "idempotents", "atoms", "doubles_idempotent", "offsets", "parts"):
+        for name in ("elements", "idempotents", "atoms", "doubles_idempotent", "offsets", "cosets"):
             assert getattr(f, name) is getattr(f, name)
 
 

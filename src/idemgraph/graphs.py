@@ -281,9 +281,10 @@ def masked_components(rows, mask: int, degrees) -> list[tuple[int, int, int]]:
     least vertex, each as (vertex bitmask, vertex count, half the sum of
     degrees[v] over its vertices v).  Every neighbour of a vertex lies in its
     component, so with the degrees of the graph the rows describe and a mask
-    of all its vertices, the last is the component's edge count; other
-    callers read only the mask and the count.  Passing every row XOR-ed with
-    -1 walks the complement graph instead."""
+    of all its vertices, the last is the component's edge count;
+    `FactorSpec.cosets` passes twice its loop flags to count loops, and
+    other callers read only the mask and the count.  Passing every row
+    XOR-ed with -1 walks the complement graph instead."""
     out = []
     rest = mask
     while rest:
@@ -341,12 +342,8 @@ def component_census(g: Graph) -> list[tuple[int, str]]:
 
 
 def is_path_graph(g: Graph) -> bool:
-    return (
-        g.n >= 1
-        and g.edge_count() == g.n - 1
-        and max(g.degrees) <= 2
-        and is_connected(g)
-    )
+    """Connected, and its one component is a path by `component_census`."""
+    return is_connected(g) and component_census(g) == [(g.n, "path")]
 
 
 def export_dot(g: Graph, names: list[str] | None = None) -> str:

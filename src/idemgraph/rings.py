@@ -143,25 +143,17 @@ class FactorSpec:
         That number is 0 unless C = -C, since 2a = e puts -a = a - e in C.
         These are what `graphs._product_components` multiplies out.
 
-        The search from each least element walks a -> a + e: offsets[a][0]
-        is -a, as idempotents[0] is 0, and offsets[-a] lists every a + e."""
-        table, doubles = self.offsets, self.doubles_idempotent
-        coset = [-1] * self.size
-        found = []
-        for lo in range(self.size):
-            if coset[lo] >= 0:
-                continue
-            coset[lo] = len(found)
-            reached = [lo]
-            for a in reached:  # a search that appends to the list it walks
-                for j in table[table[a][0]]:
-                    if coset[j] < 0:
-                        coset[j] = coset[lo]
-                        reached.append(j)
-            found.append(reached)
-        return tuple(
-            (sum(1 << a for a in c), coset[table[c[0]][0]], sum(doubles[a] for a in c)) for c in found
-        )
+        They are the components of the addition Cayley graph a ~ a + e, by
+        `graphs.masked_components`: offsets[a][0] is -a, as idempotents[0]
+        is 0, so row a is offsets[-a], every a + e.  Its third field is half
+        the sum of the weights, so weights of twice the flags make it the
+        loop count; -C holds -lo, lo least in C."""
+        from .graphs import masked_components, set_bits  # here, as graphs imports this module
+        table = self.offsets
+        rows = [sum([1 << j for j in table[t[0]]]) for t in table]
+        found = masked_components(rows, (1 << self.size) - 1, [2 * d for d in self.doubles_idempotent])
+        coset = {a: i for i, (mask, _, _) in enumerate(found) for a in set_bits(mask)}
+        return tuple((mask, coset[table[(mask & -mask).bit_length() - 1][0]], loops) for mask, _, loops in found)
 
 
 @dataclass(frozen=True)
@@ -281,17 +273,24 @@ def parse_ring_spec(text: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingSpe
     """Parse spec text like "Z4 * Z2" or "Z3[x]/(x^2) * GF(4)".
 
     Raises RingSizeError as soon as one factor would have more than
-    max_size elements, before factoring its size or building its polynomial.
-    A RingSpecError's position is the start of the factor or separator that
-    failed.
+    max_size elements, before factoring its size or building its polynomial,
+    or the product of the sizes so far would, before the rest is read: the
+    first fault left to right is raised, so "Z64 * Z128 * ?" is a size
+    error, not a syntax error.  A RingSpecError's position is the start of
+    the factor or separator that failed.  Equal factors share one
+    FactorSpec, so each one's facts are computed once.
     """
-    factors, sep = [], True
+    factors, shared, size, sep = [], {}, 1, True
     pos = len(text) - len(text.lstrip())
     while sep:
         m = _FACTOR.match(text, pos)
         if not m:
             raise RingSpecError("expected a factor ('Z<n>', 'Z<n>[x]/(f)' or 'GF(q)')", pos)
-        factors.append(_factor_spec(m, max_size))
+        f = _factor_spec(m, max_size)
+        size *= f.size
+        if size > max_size:
+            raise RingSizeError(f"ring has more than {max_size} elements")
+        factors.append(shared.setdefault(f, f))
         pos, sep = m.end(), m["sep"]
     if pos < len(text):
         raise RingSpecError("expected '*' or '×' between factors", pos)

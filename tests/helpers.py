@@ -126,6 +126,13 @@ def components(g: Graph) -> list[list[int]]:
     return out
 
 
+def reference_is_path(g: Graph) -> bool:
+    """A path by its counts, the reference for `graphs.is_path_graph` and
+    the census's path rule: at least one vertex, n - 1 edges, no degree
+    above 2, and one component by the plain search above."""
+    return g.n >= 1 and g.edge_count() == g.n - 1 and max(g.degrees) <= 2 and len(components(g)) == 1
+
+
 def disjoint_union(parts) -> Graph:
     """The graphs of parts side by side, each relabeled past the last."""
     edges, n = [], 0

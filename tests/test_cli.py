@@ -570,6 +570,13 @@ class TestCli:
         assert main(["verify", "--catalog", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: catalog entry {entry!r} is not a local ring\n")
 
+    def test_verify_oversized_catalog_product_exit_1(self, tmp_path, capsys):
+        # the parser bounds the product, before validate asks for one factor
+        path = tmp_path / "catalog.txt"
+        path.write_text("Z2\nZ64 * Z128\n")
+        assert main(["verify", "--catalog", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: ring has more than 4096 elements\n")
+
     def test_cli_defaults_are_the_library_defaults(self):
         # verify and run_sweep(SweepConfig()) run one sweep, and selftest
         # and run_selftest() one check, unless a flag says otherwise

@@ -228,6 +228,27 @@ class TestBuildRing:
         # a vanishing leading term does not count towards the degree
         assert parse_ring_spec("Z2[x]/(2x^64 + x^2)").size == 4
 
+    def test_parser_bounds_the_product(self):
+        assert parse_ring_spec("Z64 * Z64").size == 4096
+        with pytest.raises(RingSizeError) as exc:
+            parse_ring_spec("Z64 * Z128")
+        assert str(exc.value) == "ring has more than 4096 elements"
+        assert parse_ring_spec("Z64 * Z128", max_size=8192).size == 8192
+        # the size is checked as each factor is read, before later syntax
+        with pytest.raises(RingSizeError):
+            parse_ring_spec("Z64 * Z128 * ?")
+
+    def test_oversized_product_rejected_before_the_rest_is_read(self):
+        text = " * ".join(["Z2"] * 10**6)
+        with time_budget(0.1):
+            with pytest.raises(RingSizeError):
+                parse_ring_spec(text)
+
+    def test_equal_factors_share_one_object(self):
+        factors = parse_ring_spec("Z4 * GF(4) * Z4").factors
+        assert factors[0] is factors[2]
+        assert factors[1] is not factors[0] and factors[1] == FactorSpec(2, (1, 1, 1))
+
     def test_enumeration_deterministic_lexicographic(self):
         r = build_ring("Z3 * Z2")
         assert [r.label(x) for x in r.elements] == [

@@ -38,7 +38,7 @@ from .graphs import Graph, masked_components, set_bits
 def check_planar(g: Graph, cert) -> bool:
     pieces = _glued(g, cert)
     return pieces is not None and all(
-        k <= 4 or m <= 8 if faces is None else _embeds(g.rows, g.degrees, verts, m, faces)
+        k <= 4 or m <= 8 if faces is None else _embeds(g.rows, verts, m, faces)
         for verts, k, m, faces in pieces
     )
 
@@ -54,8 +54,8 @@ def check_outerplanar(g: Graph, cert) -> bool:
                 return False
             continue
         if apex is None:
-            apex = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1], [d + 1 for d in g.degrees] + [g.n]
-        if not _embeds(*apex, verts | 1 << g.n, m + k, faces):  # the apex adds k edges
+            apex = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1]
+        if not _embeds(apex, verts | 1 << g.n, m + k, faces):  # the apex adds k edges
             return False
     return True
 
@@ -99,10 +99,10 @@ def _glued(g: Graph, cert) -> list[tuple[int, int, int, list | None]] | None:
     return out if total == g.edge_count() else None
 
 
-def _embeds(rows, degrees, verts: int, edges: int, faces) -> bool:
+def _embeds(rows, verts: int, edges: int, faces) -> bool:
     """Whether faces, each a list of vertices in cyclic order, are the faces
     of a planar embedding of the subgraph, of the given number of edges, that
-    the vertex mask verts induces in the graph with these rows and degrees.
+    the vertex mask verts induces in the graph with these rows.
 
     A face that runs p, x, q says the rotation at x takes p to q.  With
     every directed edge on exactly one face these turns are a permutation
@@ -110,7 +110,7 @@ def _embeds(rows, degrees, verts: int, edges: int, faces) -> bool:
     surface needs it to be one cycle: a vertex whose turns form two cycles
     is two points of the surface, and the count V - E + F = 2 could then
     hold on a non-planar piece, such as a subdivided K3,3."""
-    if len(masked_components(rows, verts, degrees)) != 1:
+    if len(masked_components(rows, verts)) != 1:
         return False
     turn = {}  # (p, x) -> q: some face runs p, x, q
     for face in faces:

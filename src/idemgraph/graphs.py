@@ -74,8 +74,8 @@ class Graph:
     def components(self) -> tuple[tuple[int, int, int], ...]:
         """Each component as (vertex bitmask, vertex count k, edge count m),
         ordered by least vertex.  A built idempotent graph has them from its
-        builder; any other graph finds them here, once, by the search of
-        `masked_components`, which counts them as it goes."""
+        builder; any other graph finds them here, once, by `masked_components`
+        weighted with the degrees, which makes the last field the edge count."""
         if self._components is None:
             self._components = tuple(masked_components(self.rows, (1 << self.n) - 1, self.degrees))
         return self._components
@@ -276,33 +276,44 @@ def _spread(mask: int, width: int) -> int:
     return sum(1 << (b * width) for b in set_bits(mask))
 
 
-def masked_components(rows, mask: int, degrees) -> list[tuple[int, int, int]]:
-    """Components of the subgraph that the vertex mask induces, ordered by
-    least vertex, each as (vertex bitmask, vertex count, half the sum of
-    degrees[v] over its vertices v).  Every neighbour of a vertex lies in its
-    component, so with the degrees of the graph the rows describe and a mask
-    of all its vertices, the last is the component's edge count;
-    `FactorSpec.cosets` passes twice its loop flags to count loops, and
-    other callers read only the mask and the count.  Passing every row
-    XOR-ed with -1 walks the complement graph instead."""
+def masked_components(rows, mask: int, weights=None, flip: int = 0) -> list[tuple[int, int, int]]:
+    """Components of the subgraph that the vertex mask induces in the graph
+    whose row v is rows[v] ^ flip, ordered by least vertex, each as (vertex
+    bitmask, vertex count, half the sum of weights[v] over its vertices v,
+    or 0 without weights).  flip is 0, for the graph the rows describe, or
+    -1, for its complement, which is read row by row and never built.
+
+    The search keeps rest, the vertices of the mask not yet reached, and
+    visits one reached vertex at a time, adding the vertices of its row
+    that are still in rest.  With weights it visits every vertex to count
+    its weight: with the degrees of the graph the rows describe and a mask
+    of all its vertices the last field is the component's edge count, since
+    every neighbour of a vertex lies in its component, and
+    `FactorSpec.cosets` passes twice its loop flags to count loops.  Without
+    weights it stops once rest is empty, as every vertex left to visit is
+    then in the last component."""
+    weighted = weights is not None
     out = []
     rest = mask
     while rest:
-        comp = frontier = rest & -rest
-        k = d = 0
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                v = low.bit_length() - 1
-                k += 1
-                d += degrees[v]
-                reach |= rows[v]
-                frontier ^= low
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        out.append((comp, k, d // 2))
-        rest ^= comp
+        start = rest
+        todo = rest & -rest
+        rest ^= todo
+        d = 0
+        while todo:
+            v = todo.bit_length() - 1
+            todo ^= 1 << v
+            if weighted:
+                d += weights[v]
+            elif not rest:
+                break
+            reach = rows[v] & rest
+            if flip:
+                reach ^= rest  # (rows[v] ^ -1) & rest
+            todo |= reach
+            rest ^= reach
+        comp = start ^ rest
+        out.append((comp, comp.bit_count(), d // 2))
     return out
 
 

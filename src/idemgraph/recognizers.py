@@ -47,7 +47,7 @@ def planar_certificate(g: Graph) -> Certificate | None:
     """None if g is not planar, else the certificate `certificates.check_planar`
     checks: the pieces of `_certificate`, each block that path addition
     decided with the faces of its embedding."""
-    return _certificate(g, _planar_by_counts, lambda verts: _planar_block(g.rows, g.degrees, verts))
+    return _certificate(g, _planar_by_counts, lambda verts: _planar_block(g.rows, verts))
 
 
 def _planar_by_counts(n: int, m: int) -> bool | None:
@@ -88,10 +88,10 @@ def _certificate(g: Graph, by_counts, embed) -> Certificate | None:
     return pieces
 
 
-def _planar_block(rows, degrees, verts: int) -> list[list[int]] | None:
+def _planar_block(rows, verts: int) -> list[list[int]] | None:
     """Demoucron-Malgrange-Pertuiset path addition on the biconnected block
     with vertex mask verts (at least 3 vertices) of the graph with the given
-    rows and degrees: the faces of a planar embedding of the block, each a
+    rows: the faces of a planar embedding of the block, each a
     list of vertices in cyclic order, or None if the block is not planar.
 
     The embedded subgraph H starts as a cycle and grows by one path per
@@ -133,7 +133,7 @@ def _planar_block(rows, degrees, verts: int) -> list[list[int]] | None:
             placed |= 1 << x
             chords = rows[x] & verts & placed & ~(1 << p | 1 << q)
             made += [((x, y), 1 << x | 1 << y) for y in set_bits(chords)]
-        for comp, _, _ in masked_components(rows, body & ~placed, degrees):
+        for comp, _, _ in masked_components(rows, body & ~placed):
             att = 0
             for x in set_bits(comp):
                 att |= rows[x]
@@ -258,8 +258,8 @@ def outerplanar_certificate(g: Graph) -> Certificate | None:
     def embed(verts):
         nonlocal apex
         if apex is None:
-            apex = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1], [d + 1 for d in g.degrees] + [g.n]
-        return _planar_block(*apex, verts | 1 << g.n)
+            apex = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1]
+        return _planar_block(apex, verts | 1 << g.n)
 
     return _certificate(g, _outerplanar_by_counts, embed)
 
@@ -306,22 +306,20 @@ def is_cograph(g: Graph) -> bool:
     """Cotree decomposition: every induced subgraph on >= 2 vertices must be
     disconnected or have a disconnected complement.  A component is
     connected, so only its complement can split it, and a co-component
-    only the graph: the walk alternates, starting from g's components.  A
-    complete component (2m = k(k - 1)) is a cograph, so the walk starts only
-    from the others, and the complement rows are built only if there is
-    one."""
-    comps = [comp for comp, k, m in g.components() if 2 * m != k * (k - 1)]
-    if not comps:
-        return True
-    co_rows = [r ^ -1 for r in g.rows]
-    stack = [(comp, co_rows) for comp in comps]
+    only the graph: the walk alternates, starting from g's components in
+    the complement.  It reads the complement as g's rows XOR -1, the flip
+    of `masked_components`, so it builds no complement rows.  A complete
+    component (2m = k(k - 1)) is a cograph, so the walk starts only from
+    the others.  The walk reads only vertex masks, so each search stops
+    once it has reached every vertex of its mask: on a dense complement,
+    such as that of `Z4^6`'s one component, after a few rows."""
+    stack = [(comp, -1) for comp, k, m in g.components() if 2 * m != k * (k - 1)]
     while stack:
-        mask, rows = stack.pop()
-        parts = masked_components(rows, mask, g.degrees)
+        mask, flip = stack.pop()
+        parts = masked_components(g.rows, mask, flip=flip)
         if len(parts) == 1:
             return False
-        rows = g.rows if rows is co_rows else co_rows
-        stack.extend((part, rows) for part, k, _ in parts if k > 1)
+        stack.extend((part, ~flip) for part, k, _ in parts if k > 1)
     return True
 
 

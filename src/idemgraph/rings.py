@@ -151,7 +151,7 @@ class FactorSpec:
         from .graphs import masked_components, set_bits  # here, as graphs imports this module
         table = self.offsets
         rows = [sum([1 << j for j in table[t[0]]]) for t in table]
-        found = masked_components(rows, (1 << self.size) - 1, [2 * d for d in self.doubles_idempotent])
+        found = masked_components(rows, (1 << self.size) - 1, weights=[2 * d for d in self.doubles_idempotent])
         coset = {a: i for i, (mask, _, _) in enumerate(found) for a in set_bits(mask)}
         return tuple((mask, coset[table[(mask & -mask).bit_length() - 1][0]], loops) for mask, _, loops in found)
 

@@ -183,7 +183,7 @@ class TestBogusCertificatesFail:
         g = graph_from_edges(7, rest + [(0, 6), (6, 3)])
         assert not kuratowski_oracle(g)
         base = graph_from_edges(6, rest)
-        base_faces = recognizers._planar_block(base.rows, base.degrees, 0b111111)
+        base_faces = recognizers._planar_block(base.rows, 0b111111)
         assert check_planar(base, [(0b111111, base_faces)])
         faces = base_faces + [[0, 6, 3, 6]]
         assert g.n - g.edge_count() + len(faces) == 2
@@ -224,7 +224,7 @@ class TestBogusCertificatesFail:
         assert check_planar(g, planar_certificate(g))
         assert not check_outerplanar(g, [(full, None)])
         # a planar embedding of g itself, without the apex
-        faces = recognizers._planar_block(g.rows, g.degrees, full)
+        faces = recognizers._planar_block(g.rows, full)
         assert check_planar(g, [(full, faces)])
         assert not check_outerplanar(g, [(full, faces)])
         # a sample of the rotation systems of g plus the apex, none planar

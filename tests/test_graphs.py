@@ -500,21 +500,25 @@ class TestProductComponents:
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(max_n=8), st.one_of(st.just(-1), st.integers(min_value=0, max_value=255)))
-def test_complement_walk_equals_components_of_the_complement(g, mask):
-    # the complement of the subgraph the mask induces, built edge by edge;
-    # vertices outside the mask stay isolated and their components are dropped
+@given(random_graphs(max_n=20), st.one_of(st.just(-1), st.integers(min_value=0, max_value=2**20 - 1)))
+def test_the_search_with_and_without_weights_and_through_the_complement(g, mask):
     mask &= (1 << g.n) - 1
-    inside = [(mask >> v) & 1 for v in range(g.n)]
-    co = graph_from_edges(
-        g.n,
-        [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
-         if inside[i] and inside[j] and not has_edge(g, i, j)],
-    )
-    explicit = [sum(1 << v for v in c) for c in components(co) if inside[c[0]]]
-    walked = masked_components([r ^ -1 for r in g.rows], mask, g.degrees)
-    assert [c for c, _, _ in walked] == explicit
-    assert all(k == c.bit_count() for c, k, _ in walked)
+    inside = set_bits(mask)
+    # the subgraph the mask induces and its complement, built edge by edge;
+    # vertices outside the mask stay isolated and their components are dropped
+    sub = graph_from_edges(g.n, [(i, j) for i in inside for j in inside if i < j and has_edge(g, i, j)])
+    co = graph_from_edges(g.n, [(i, j) for i in inside for j in inside if i < j and not has_edge(g, i, j)])
+
+    def explicit(h):
+        return [(sum(1 << v for v in c), len(c)) for c in components(h) if mask >> c[0] & 1]
+
+    weighted = masked_components(g.rows, mask, g.degrees)
+    assert [(c, k) for c, k, _ in weighted] == explicit(sub)
+    assert [(c, k, 0) for c, k, _ in weighted] == masked_components(g.rows, mask)
+    assert all(d == sum(g.degrees[v] for v in set_bits(c)) // 2 for c, _, d in weighted)
+    walked = masked_components(g.rows, mask, flip=-1)
+    assert [(c, k) for c, k, _ in walked] == explicit(co)
+    assert [(c, k) for c, k, _ in masked_components(g.rows, mask, g.degrees, -1)] == explicit(co)
 
 
 class TestCensus:

@@ -375,9 +375,22 @@ def record_embeddings(monkeypatch):
     """What each `_planar_block` call returns, faces or None, in call order."""
     results, real = [], recognizers._planar_block
     monkeypatch.setattr(
-        recognizers, "_planar_block", lambda rows, degrees, verts: results.append(real(rows, degrees, verts)) or results[-1]
+        recognizers, "_planar_block", lambda rows, verts: results.append(real(rows, verts)) or results[-1]
     )
     return results
+
+
+class CountedRows(tuple):
+    """Adjacency rows that count how many are read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 class TestCountsPerComponent:
@@ -422,13 +435,25 @@ class TestCountsPerComponent:
         assert not is_cograph(disjoint_union(k8s + [path_graph(4)]))
         assert not is_cograph(disjoint_union([path_graph(4)] + k8s))
 
+    def test_the_cograph_walk_on_z4_6_stops_when_every_vertex_is_reached(self):
+        # Z4^6's graph is one component of 4,096 vertices whose complement
+        # is connected; the search stops after two rows, where a walk of
+        # every vertex reads 4,096
+        g = ring_graph("Z4*Z4*Z4*Z4*Z4*Z4")
+        assert len(g.components()) == 1
+        g.rows = CountedRows(g.rows)
+        assert not is_cograph(g)
+        assert 0 < g.rows.reads <= 16
+
     def test_the_cograph_walk_starts_from_each_component_that_is_not_complete(self, monkeypatch):
         # K5 minus an edge is a cograph (two non-adjacent vertices joined to
         # a triangle); it is the one component here that is not complete
         near = graph_from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)])
         g = disjoint_union([complete_graph(5), near, complete_graph(3), empty_graph(1)])
         walked, real = [], recognizers.masked_components
-        monkeypatch.setattr(recognizers, "masked_components", lambda rows, mask, degrees: walked.append(mask) or real(rows, mask, degrees))
+        monkeypatch.setattr(
+            recognizers, "masked_components", lambda rows, mask, weights=None, flip=0: walked.append(mask) or real(rows, mask, weights, flip)
+        )
         assert is_cograph(g)
         assert walked[0] == 0b11111 << 5
         assert all(mask >> 5 <= 0b11111 and mask & 0b11111 == 0 for mask in walked)

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage/input error, 2 prediction/recognizer mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .graphs import build_idempotent_graph, export_dot
@@ -145,7 +146,13 @@ def int_in(low: int, high: int | None = None):
 ring_size = int_in(1, DEFAULT_MAX_RING_SIZE)  # the bound the sweep also enforces
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call.  Sharing is safe: parse_args keeps no state on the parser,
+    argparse reads the terminal width when it prints help, not here, and
+    each command's `func` is a cmd_* function that looks its helpers up in
+    this module when it runs, so a helper replaced here is the one called."""
     parser = argparse.ArgumentParser(
         prog="idemgraph",
         description="Idempotent graphs of finite commutative rings: "

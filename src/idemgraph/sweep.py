@@ -183,7 +183,13 @@ def summary_json(summary: dict) -> str:
     lists, str, int, bool and None, so a float, a non-str key or any other
     type raises TypeError rather than being written in some other way.
     Each container is returned as one joined string, so a dict of scalars
-    never becomes a list of pieces."""
+    never becomes a list of pieces.
+
+    A list item that is the same object as the item before it is written
+    once and its text reused, so a census whose equal entries are one shared
+    dict (see `theorems.cross_validate`) costs one entry's encoding.  The
+    test is identity, never equality: True == 1 and 1.0 == 1, so text reused
+    for an equal item would write 1 for True or pass a float unchecked."""
     return _json_text(summary, "\n")
 
 
@@ -214,10 +220,14 @@ def _json_text(value, indent: str) -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        return "[" + inner + ("," + inner).join([
-            text(v) if (text := scalar(type(v))) else _json_text(v, inner)
-            for v in value
-        ]) + indent + "]"
+        parts = []
+        prev = parts  # no item of value is this new list
+        for v in value:
+            if v is not prev:
+                prev = v
+                last = text(v) if (text := scalar(type(v))) else _json_text(v, inner)
+            parts.append(last)
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
     text = scalar(type(value))
     if text is None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

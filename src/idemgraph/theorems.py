@@ -181,11 +181,17 @@ def cross_validate(ring: FiniteRing, g: Graph, recognized: dict[str, bool] | Non
     has it already for a g it shares among rings; the report gets its own
     copy.  The degree check always reads the ring's own doubling flags, so
     a shared g whose degrees are not this ring's shows as a degree-formula
-    mismatch."""
+    mismatch.
+
+    Equal `graph.census` entries are one shared dict, so that
+    `sweep.summary_json` writes each distinct entry once (the components
+    are copies of at most two graphs, and `GF(64)^2` has 1,024 of one);
+    a caller must not mutate a census entry in place."""
     recognized = recognize_all(g) if recognized is None else dict(recognized)
     profiles = primitive_idempotents(ring)
     predicted = predict_all(ring, profiles)
     census = component_census(g)
+    entries = {c: {"size": c[0], "shape": c[1]} for c in set(census)}
     mismatches: list[dict] = []
     for prop, want in predicted.items():
         if want is not None and recognized[prop] != want:
@@ -223,7 +229,7 @@ def cross_validate(ring: FiniteRing, g: Graph, recognized: dict[str, bool] | Non
             "n": g.n,
             "edges": g.edge_count(),
             "components": len(census),
-            "census": [{"size": size, "shape": shape} for size, shape in census],
+            "census": [entries[c] for c in census],
         },
         "recognized": recognized,
         "predicted": {name: _tristate(v) for name, v in predicted.items()},

@@ -577,6 +577,21 @@ class TestCli:
         assert main(["verify", "--catalog", str(path)]) == 1
         assert capsys.readouterr() == ("", "error: ring has more than 4096 elements\n")
 
+    def test_parser_is_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_one_parser_serves_a_run_of_commands(self, capsys):
+        # the shared parser keeps nothing from a usage error or a help page
+        assert main(["classify", "Z6"]) == 0
+        assert capsys.readouterr().out == Z6_TEXT
+        assert main(["verify", "--max-factors", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: argument --max-factors: must be >= 1, got 0" in err
+        assert main(["selftest", "--help"]) == 0
+        assert "--exhaustive-n" in capsys.readouterr().out
+        assert main(["classify", "Z6"]) == 0
+        assert capsys.readouterr().out == Z6_TEXT
+
     def test_cli_defaults_are_the_library_defaults(self):
         # verify and run_sweep(SweepConfig()) run one sweep, and selftest
         # and run_selftest() one check, unless a flag says otherwise

@@ -2,6 +2,7 @@
 sort_keys=True): the same text on every value the reports can hold, and
 TypeError on any other."""
 
+import copy
 import enum
 import json
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idemgraph import sweep
 from idemgraph.cli import main
 from idemgraph.graphs import build_idempotent_graph
 from idemgraph.rings import build_ring
@@ -29,10 +31,15 @@ scalars = st.one_of(
     st.integers(-(2**300), 2**300),
     text,
 )
+# Two of the list strategies give each item twice in a row: as one shared
+# object, which summary_json writes once and reuses, and as an equal but
+# distinct copy, which it must write again.
 values = st.recursive(
     scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(lambda xs: [x for x in xs for _ in "ab"]),
+        st.lists(inner, max_size=3).map(lambda xs: [y for x in xs for y in (x, copy.deepcopy(x))]),
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(text, inner, max_size=5),
     ),
@@ -52,6 +59,10 @@ class Colour(enum.IntEnum):
 
 class Label(str):
     pass
+
+
+D = {"size": 4, "shape": "complete"}
+E = {"size": 4, "shape": "path"}
 
 
 @pytest.mark.parametrize(
@@ -77,6 +88,14 @@ class Label(str):
         "s",
         -(10**40),
         {"z": 1, "a": 2, "M": 3, "": 4, "\xe9": 5, "a\x00": 6},
+        # equal to the item before, but not the same object or type: text
+        # reused on == would write 1 for True and 0 for False
+        [{"a": 1}, {"a": True}],
+        [[0], [False]],
+        # the same object in a row, written once and reused
+        [D, D],
+        [D, E, D],
+        [None, None],
     ],
 )
 def test_matches_the_reference_on_explicit_cases(value):
@@ -98,6 +117,8 @@ def test_matches_the_reference_on_explicit_cases(value):
         [b"bytes"],
         [Colour.RED],
         {"a": Label("x")},
+        [{"a": 1}, {"a": 1.0}],  # equal to the item before, and still checked
+        [D, D, [1, 1, 1.0]],
     ],
 )
 def test_any_other_type_raises_type_error(value):
@@ -140,3 +161,24 @@ class TestWholeDocuments:
         out = capsys.readouterr().out
         assert '"Z\\u0664"' in out and '"GF(\\uff14)"' in out
         assert out == reference_json(json.loads(out)) + "\n"
+
+
+def test_a_census_of_equal_entries_is_written_once(monkeypatch):
+    # GF(64)^2 has 1,024 components of one shape: cross_validate gives them
+    # one shared census dict, and summary_json encodes it once, not 1,024 times.
+    rep = report("GF(64)*GF(64)")
+    census = rep["graph"]["census"]
+    assert len(census) == 1024 and len({id(e) for e in census}) == 1
+    calls = []
+    encode = sweep._json_text
+
+    def counting(value, indent):
+        calls.append(value)
+        return encode(value, indent)
+
+    monkeypatch.setattr(sweep, "_json_text", counting)
+    assert summary_json(rep) == reference_json(rep)
+    assert sum(1 for v in calls if v is census[0]) == 1
+    calls.clear()
+    assert summary_json(census) == reference_json(census)
+    assert len(calls) == 2  # the list and its one distinct entry

@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 Coeffs = tuple[int, ...]
 Element = tuple[Coeffs, ...]
@@ -94,15 +94,14 @@ class FactorSpec:
         return tuple(a for a in self.elements if _factor_mul(self, a, a) == a)
 
     @cached_property
-    def atoms(self) -> tuple[tuple[Coeffs, int, int], ...]:
-        """The primitive idempotents a (minimal nonzero: a*b == b for no
-        other nonzero idempotent b), in enumeration order, each with the
-        size |R a| of its local factor and that factor's characteristic,
-        the additive order n / gcd(n, a) for the modulus n."""
+    def atoms(self) -> tuple[tuple[int, int], ...]:
+        """For each primitive idempotent a (minimal nonzero: a*b == b for no
+        other nonzero idempotent b), in enumeration order, the size |R a| of
+        its local factor and that factor's characteristic, the additive
+        order n / gcd(n, a) for the modulus n."""
         nonzero = [a for a in self.idempotents if any(a)]
         return tuple(
             (
-                a,
                 len({_factor_mul(self, x, a) for x in self.elements}),
                 self.modulus // gcd(self.modulus, *a),
             )
@@ -337,7 +336,6 @@ class FiniteRing:
             raise RingSizeError(f"ring has more than {max_size} elements")
         self.spec = spec
         self.size = spec.size
-        self.characteristic = lcm(*(f.modulus for f in spec.factors))
         self.zero: Element = tuple((0,) * f.degree for f in spec.factors)
         self.one: Element = tuple((1,) + (0,) * (f.degree - 1) for f in spec.factors)
         self._idempotents: frozenset[Element] | None = None
@@ -416,19 +414,29 @@ def additive_closure(ring: FiniteRing, seed: set[Element] | frozenset[Element]) 
 
 @dataclass(frozen=True)
 class LocalFactorProfile:
-    """Invariants of one local factor, read off a primitive idempotent e."""
+    """One local factor R e, e a primitive idempotent: its size and its
+    characteristic.  The paper's conditions read only these two."""
 
-    idempotent: Element
     factor_size: int
     factor_char: int
-    generated_by_idempotents: bool
-    is_z2: bool
-    is_z3: bool
+
+    @property
+    def generated_by_idempotents(self) -> bool:
+        """Whether 1 spans the factor additively: its characteristic is its size."""
+        return self.factor_char == self.factor_size
+
+    @property
+    def is_z2(self) -> bool:
+        return self.factor_size == 2
+
+    @property
+    def is_z3(self) -> bool:
+        return self.factor_size == 3 and self.factor_char == 3
 
 
 def primitive_idempotents(ring: FiniteRing) -> list[LocalFactorProfile]:
-    """Atoms of the Boolean algebra of idempotents, with factor invariants,
-    in enumeration order.
+    """The local factors of the ring, one per atom of the Boolean algebra
+    of idempotents, in the atoms' enumeration order.
 
     e <= f iff e*f == e; the atoms are the minimal nonzero idempotents and
     realize the local direct-product decomposition of the ring.  An
@@ -436,21 +444,8 @@ def primitive_idempotents(ring: FiniteRing) -> list[LocalFactorProfile]:
     one atom a of one spec factor R_k, zero in every other factor: then
     R e is R_k a, and the characteristic of R e is the additive order of a,
     n_k / gcd(n_k, a) for the factor's modulus n_k; `FactorSpec.atoms` keeps
-    each factor's atoms with both.  An atom of a later factor comes first in
-    enumeration order.
+    both for each of the factor's atoms.  An atom of a later factor comes
+    first in enumeration order.
     """
     idempotents(ring)  # the ring's idempotent set, which every report reads; perfbench counts this call
-    profiles = []
-    for k in range(len(ring.spec.factors) - 1, -1, -1):
-        for a, factor_size, factor_char in ring.spec.factors[k].atoms:
-            profiles.append(
-                LocalFactorProfile(
-                    idempotent=ring.zero[:k] + (a,) + ring.zero[k + 1:],
-                    factor_size=factor_size,
-                    factor_char=factor_char,
-                    generated_by_idempotents=(factor_char == factor_size),
-                    is_z2=(factor_size == 2),
-                    is_z3=(factor_size == 3 and factor_char == 3),
-                )
-            )
-    return profiles
+    return [LocalFactorProfile(*atom) for f in reversed(ring.spec.factors) for atom in f.atoms]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import lcm
 
 from . import certificates, oracles, recognizers
 from .graphs import Graph, component_census, is_connected, is_path_graph
@@ -153,19 +154,11 @@ def verify_degree_formula(ring: FiniteRing, g: Graph) -> bool:
 
 def verify_component_structure(ring: FiniteRing, g: Graph) -> bool:
     """For rings with only trivial idempotents: every component is a path or
-    an even cycle, uniform length per shape (uniform-copies consequence)."""
+    an even cycle, of one size per shape (uniform-copies consequence)."""
     if not is_local(ring):
         raise ValueError("component-structure check applies to rings with trivial idempotents only")
-    path_sizes = set()
-    cycle_sizes = set()
-    for size, shape in component_census(g):
-        if shape == "path":
-            path_sizes.add(size)
-        elif shape == "even-cycle":
-            cycle_sizes.add(size)
-        else:
-            return False
-    return len(path_sizes) <= 1 and len(cycle_sizes) <= 1
+    shapes = [shape for _, shape in set(component_census(g))]
+    return set(shapes) <= {"path", "even-cycle"} and len(shapes) == len(set(shapes))
 
 
 def _tristate(v: bool | None) -> str:
@@ -213,7 +206,7 @@ def cross_validate(ring: FiniteRing, g: Graph, recognized: dict[str, bool] | Non
     return {
         "spec": format_ring_spec(ring.spec),
         "size": ring.size,
-        "characteristic": ring.characteristic,
+        "characteristic": lcm(*(p.factor_char for p in profiles)),
         "num_idempotents": len(idempotents(ring)),
         "factors": [
             {

@@ -742,6 +742,24 @@ class TestNoTupleArithmetic:
         assert '  "15";' in dot.read_text()
 
 
+def test_perfbench_trace_names_resolve():
+    # perfbench/run.py wraps these by name and raises on one that is gone;
+    # read them without importing perfbench, and skip networkx.
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    lists = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("TARGETS", "COUNTED")
+    }
+    names = [entry for key in ("TARGETS", "COUNTED") for entry in lists[key] if entry[0] != "networkx"]
+    assert len(names) > 30  # both lists are still found
+    for mod, qual in names:
+        obj = importlib.import_module(f"idemgraph.{mod}")
+        for attr in qual.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), (mod, qual)
+
+
 def test_paper_examples_script_runs_clean():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))

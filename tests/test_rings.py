@@ -3,9 +3,9 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from idemgraph.graphs import build_idempotent_graph
 from idemgraph.rings import (
     FactorSpec,
-    LocalFactorProfile,
     RingSizeError,
     RingSpecError,
     additive_closure,
@@ -16,8 +16,8 @@ from idemgraph.rings import (
     parse_ring_spec,
     primitive_idempotents,
 )
-from idemgraph.sweep import DEFAULT_CATALOG, SweepConfig, enumerate_sweep_specs
-from idemgraph.theorems import predict_all
+from idemgraph.sweep import DEFAULT_CATALOG, SweepConfig, enumerate_sweep_specs, run_sweep
+from idemgraph.theorems import cross_validate, predict_all
 
 from helpers import sub, time_budget
 
@@ -74,8 +74,9 @@ def scan_cosets(r):
 
 
 def scan_atoms(r):
-    """Minimal nonzero idempotents under e*f == f, by element index, with
-    |R e| from a full scan and the characteristic from repeated addition."""
+    """Minimal nonzero idempotents e under e*f == f, by element index, as
+    (e, |R e|, characteristic) with |R e| from a full scan and the
+    characteristic from repeated addition."""
     ids = scan_idempotents(r)
     index = {x: i for i, x in enumerate(r.elements)}
     atoms = sorted(
@@ -83,12 +84,11 @@ def scan_atoms(r):
             f not in (r.zero, e) and r.mul(e, f) == f for f in ids)),
         key=index.__getitem__,
     )
-    out = []
-    for e in atoms:
-        size = len({r.mul(x, e) for x in r.elements})
-        char = additive_order(r, e)
-        out.append(LocalFactorProfile(e, size, char, char == size, size == 2, size == 3 and char == 3))
-    return out
+    return [(e, len({r.mul(x, e) for x in r.elements}), additive_order(r, e)) for e in atoms]
+
+
+def report_characteristic(r):
+    return cross_validate(r, build_idempotent_graph(r))["characteristic"]
 
 
 # Spec texts as a user might type them, with numbers far beyond any bound.
@@ -199,16 +199,16 @@ class TestParsing:
 class TestBuildRing:
     def test_z6(self):
         r = build_ring("Z6")
-        assert r.size == 6 and r.characteristic == 6
+        assert r.size == 6 and report_characteristic(r) == 6
 
     def test_quotient_size_and_char(self):
         r = build_ring("Z3[x]/(x^2)")
-        assert r.size == 9 and r.characteristic == 3
+        assert r.size == 9 and report_characteristic(r) == 3
 
     def test_product_char_is_lcm(self):
         r = build_ring("GF(4) * Z2")
-        assert r.size == 8 and r.characteristic == 2
-        assert build_ring("Z4 * Z6").characteristic == 12
+        assert r.size == 8 and report_characteristic(r) == 2
+        assert report_characteristic(build_ring("Z4 * Z6")) == 12
 
     def test_size_bound(self):
         with pytest.raises(RingSizeError):
@@ -370,7 +370,7 @@ class TestFactorSpecData:
         assert all(len(a) == f.degree and 0 <= min(a) <= max(a) < f.modulus for a in f.elements)
         ids = [x for x in r.elements if r.mul(x, x) == x]
         assert f.idempotents == tuple(e for (e,) in ids)
-        assert f.atoms == tuple((p.idempotent[0], p.factor_size, p.factor_char) for p in scan_atoms(r))
+        assert f.atoms == tuple((size, char) for _, size, char in scan_atoms(r))
         assert f.doubles_idempotent == tuple(r.add(x, x) in ids for x in r.elements)
         index = {x: i for i, x in enumerate(r.elements)}
         assert f.offsets == tuple(tuple(index[sub(r, e, x)] for e in ids) for x in r.elements)
@@ -403,20 +403,22 @@ class TestAdditiveClosure:
 class TestPrimitiveIdempotents:
     def test_z6_atoms(self):
         r = build_ring("Z6")
-        profiles = primitive_idempotents(r)
-        got = sorted((r.label(p.idempotent), p.factor_size, p.factor_char) for p in profiles)
+        got = sorted((r.label(e), size, char) for e, size, char in scan_atoms(r))
         assert got == [("3", 2, 2), ("4", 3, 3)]
+        assert sorted((p.factor_size, p.factor_char) for p in primitive_idempotents(r)) == [(2, 2), (3, 3)]
 
     def test_z2xz2_coordinate_atoms(self):
         r = build_ring("Z2 * Z2")
+        assert sorted(r.label(e) for e, _, _ in scan_atoms(r)) == ["(0, 1)", "(1, 0)"]
         profiles = primitive_idempotents(r)
-        assert sorted(r.label(p.idempotent) for p in profiles) == ["(0, 1)", "(1, 0)"]
+        assert len(profiles) == 2
         assert all(p.factor_size == 2 and p.factor_char == 2 for p in profiles)
 
     def test_z9_single_atom(self):
         r = build_ring("Z9")
+        ((e, _, _),) = scan_atoms(r)
+        assert e == r.one
         (p,) = primitive_idempotents(r)
-        assert p.idempotent == r.one
         assert p.factor_size == 9 and p.factor_char == 9
         assert p.generated_by_idempotents
 
@@ -426,24 +428,30 @@ class TestPrimitiveIdempotents:
     def test_orthogonal_sum_to_one_size_product(self, spec):
         r = build_ring(spec)
         profiles = primitive_idempotents(r)
+        atoms = [e for e, _, _ in scan_atoms(r)]
+        assert len(profiles) == len(atoms)
         total = r.zero
         size_product = 1
-        for p in profiles:
-            total = r.add(total, p.idempotent)
+        for p, e in zip(profiles, atoms):
+            total = r.add(total, e)
             size_product *= p.factor_size
             assert p.factor_size % p.factor_char == 0
             assert p.generated_by_idempotents == (p.factor_char == p.factor_size)
-            assert p.factor_size == len({r.mul(x, p.idempotent) for x in r.elements})
-        for i, p in enumerate(profiles):
-            for q in profiles[i + 1:]:
-                assert r.mul(p.idempotent, q.idempotent) == r.zero
+            assert p.factor_size == len({r.mul(x, e) for x in r.elements})
+        for i, e in enumerate(atoms):
+            for f in atoms[i + 1:]:
+                assert r.mul(e, f) == r.zero
         assert total == r.one
         assert size_product == r.size
 
     @pytest.mark.parametrize("spec", CLOSURE_SPECS + ["Z30", "Z2[x]/(x^2 + x) * Z3"])
     def test_matches_whole_ring_definition_in_order(self, spec):
         r = build_ring(spec)
-        assert primitive_idempotents(r) == scan_atoms(r)
+        profiles = primitive_idempotents(r)
+        assert [(p.factor_size, p.factor_char) for p in profiles] == [(size, char) for _, size, char in scan_atoms(r)]
+        for p in profiles:
+            size, char = p.factor_size, p.factor_char
+            assert (p.generated_by_idempotents, p.is_z2, p.is_z3) == (char == size, size == 2, size == 3 and char == 3)
 
     @pytest.mark.parametrize("spec", CLOSURE_SPECS)
     def test_closure_iff_all_factors_generated(self, spec):
@@ -462,7 +470,23 @@ class TestIsLocal:
     def test_examples(self, spec, expected):
         assert is_local(build_ring(spec)) is expected
 
-    def test_characteristic_is_additive_order_of_one(self):
-        for spec in ("Z6", "Z9", "GF(4)", "Z4 * Z6", "Z3[x]/(x^2) * Z2"):
-            r = build_ring(spec)
-            assert r.characteristic == additive_order(r, r.one)
+
+class TestReportCharacteristic:
+    """The report's characteristic, taken from the local factors, against
+    the additive order of 1 found by repeated addition."""
+
+    def test_every_default_sweep_report(self):
+        reports = run_sweep(SweepConfig())["reports"]
+        assert len(reports) == 403
+        for report in reports:
+            r = build_ring(report["spec"])
+            assert report["characteristic"] == additive_order(r, r.one), report["spec"]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["Z4*Z4*Z4*Z4*Z4*Z4", "GF(64)*GF(64)", "Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2", "GF(16)*GF(16)*GF(16)",
+         "Z6", "Z30", "Z2[x]/(x^2 + x) * Z3", "Z4096", "Z4 * Z6", "Z3[x]/(x^2) * Z2"],
+    )
+    def test_large_and_composite_rings(self, spec):
+        r = build_ring(spec)
+        assert report_characteristic(r) == additive_order(r, r.one)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from idemgraph.graphs import Graph, build_idempotent_graph
+from idemgraph.graphs import Graph, build_idempotent_graph, graph_from_edges
 from idemgraph.rings import build_ring, primitive_idempotents
 from idemgraph.selftest import run_selftest
 from idemgraph.sweep import summary_json
@@ -185,6 +185,22 @@ class TestComponentStructure:
         ring = build_ring("Z6")
         with pytest.raises(ValueError):
             verify_component_structure(ring, build_idempotent_graph(ring))
+
+    # Hand-built graphs against the rule: every component is a path or an
+    # even cycle, with at most one size per shape.
+    @pytest.mark.parametrize(
+        "n,edges,expected",
+        [
+            (10, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9), (9, 6)], True),
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], False),
+            (5, [(0, 1), (2, 3), (3, 4)], False),
+            (10, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 4)], False),
+            (4, [(0, 1), (0, 2), (0, 3)], False),
+        ],
+        ids=["two-P3-and-C4", "odd-cycle", "paths-of-two-lengths", "even-cycles-of-two-lengths", "star"],
+    )
+    def test_hand_built(self, n, edges, expected):
+        assert verify_component_structure(build_ring("Z9"), graph_from_edges(n, edges)) is expected
 
 
 class TestCrossValidate:

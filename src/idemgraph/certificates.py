@@ -36,15 +36,17 @@ from .graphs import Graph, masked_components, set_bits
 
 
 def check_planar(g: Graph, cert) -> bool:
-    pieces = _glued(g, cert)
+    rows = tuple(g.rows)
+    pieces = _glued(g, rows, cert)
     return pieces is not None and all(
-        k <= 4 or m <= 8 if faces is None else _embeds(g.rows, verts, m, faces)
+        k <= 4 or m <= 8 if faces is None else _embeds(rows, verts, m, faces)
         for verts, k, m, faces in pieces
     )
 
 
 def check_outerplanar(g: Graph, cert) -> bool:
-    pieces = _glued(g, cert)
+    rows = tuple(g.rows)
+    pieces = _glued(g, rows, cert)
     if pieces is None:
         return False
     apex = None
@@ -54,16 +56,17 @@ def check_outerplanar(g: Graph, cert) -> bool:
                 return False
             continue
         if apex is None:
-            apex = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1]
+            apex = [r | 1 << g.n for r in rows] + [(1 << g.n) - 1]
         if not _embeds(apex, verts | 1 << g.n, m + k, faces):  # the apex adds k edges
             return False
     return True
 
 
-def _glued(g: Graph, cert) -> list[tuple[int, int, int, list | None]] | None:
+def _glued(g: Graph, rows, cert) -> list[tuple[int, int, int, list | None]] | None:
     """Each piece as (vertex mask, vertex count, edge count, faces), when the
-    pieces' induced edges partition the edges of g and the graph linking
-    each piece to its shared vertices is a forest; else None.
+    pieces' induced edges partition the edges of g, whose rows are rows,
+    and the graph linking each piece to its shared vertices is a forest;
+    else None.
 
     A union-find over the pieces joins each piece to the first piece
     holding each of its vertices.  That adds the edges of a tree on the
@@ -71,7 +74,7 @@ def _glued(g: Graph, cert) -> list[tuple[int, int, int, list | None]] | None:
     join finds the two pieces already joined.  Then no two pieces share two
     vertices, so no edge lies in two pieces, and the pieces' edges are all
     of g's when their counts add up to g's edge count."""
-    rows, n = g.rows, g.n
+    n = g.n
     first = [-1] * n  # the first piece holding each vertex
     parent = list(range(len(cert)))
 

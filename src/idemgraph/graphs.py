@@ -1,9 +1,10 @@
 """Immutable simple undirected graphs with bitset adjacency rows.
 
 Includes the idempotent-graph construction (vertices = ring elements,
-x ~ y iff x + y is idempotent) with its components taken from the cosets
-of the idempotents' additive span, structural queries, named pattern
-constructors used by the recognizer oracles, and DOT export.
+x ~ y iff x + y is idempotent), whose degrees, edge count and components
+come from the ring's factors and whose rows are made when read, structural
+queries, named pattern constructors used by the recognizer oracles, and
+DOT export.
 """
 
 from __future__ import annotations
@@ -16,18 +17,22 @@ class Graph:
 
     The degrees, the edge count and the components, each with its vertex
     and edge counts, are whole-graph facts that several recognizers and the
-    report read, so each is computed once: the degrees and edge count while
-    the rows are validated, the components by `build_idempotent_graph` from
-    the cosets of the idempotents' additive span for the graphs it builds,
-    and by a search on first use for every other graph.
+    report read, so each is computed once.  `Graph(n, rows)` and
+    `graph_from_edges` keep the rows as a tuple and take the degrees and
+    edge count while they validate it; their components are found by a
+    search on first use.  `build_idempotent_graph` takes all three facts
+    from the ring's factors, and its rows are a `ProductRows`, which makes
+    a row only when it is read.  A reader that walks the whole graph takes
+    `tuple(g.rows)` once, which for a tuple is the same object; a reader
+    that needs a few rows indexes them.
 
     `Graph(n, rows)` validates the rows in full and raises ValueError at the
     first fault.  It checks the row count, then row by row a bit at or
     beyond n (a negative row has such bits) and a loop, naming the first
     such row, then symmetry.  For symmetry it walks the bits above the
     diagonal, one step per bit, and names the first one found unmirrored;
-    a count of the bits below then catches one with no mirror above.  The
-    module's own builders, whose rows are symmetric by construction, use
+    a count of the bits below then catches one with no mirror above.
+    `graph_from_edges`, whose rows are symmetric by construction, uses
     `_symmetric_graph`, which makes every check but the walk."""
 
     __slots__ = ("n", "rows", "degrees", "_edge_count", "_components")
@@ -57,14 +62,7 @@ class Graph:
     def _load(self, n: int, rows) -> None:
         """Every check but symmetry, and the degrees."""
         self.n = n
-        self.rows = rows = tuple(rows)
-        if len(rows) != n:
-            raise ValueError(f"{len(rows)} rows for {n} vertices")
-        for i, r in enumerate(rows):
-            if r >> n:
-                raise ValueError(f"row {i} has bits beyond vertex count")
-            if r >> i & 1:
-                raise ValueError(f"loop at vertex {i}")
+        self.rows = rows = _checked_rows(n, rows)
         self.degrees = tuple(map(int.bit_count, rows))
         self._components = None
 
@@ -90,6 +88,21 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def _checked_rows(n: int, rows) -> tuple[int, ...]:
+    """The rows as a tuple, once it holds n of them, none with a bit at or
+    beyond n (a negative row has such bits) and none with a loop; else
+    ValueError naming the count or the first faulty row."""
+    rows = tuple(rows)
+    if len(rows) != n:
+        raise ValueError(f"{len(rows)} rows for {n} vertices")
+    for i, r in enumerate(rows):
+        if r >> n:
+            raise ValueError(f"row {i} has bits beyond vertex count")
+        if r >> i & 1:
+            raise ValueError(f"loop at vertex {i}")
+    return rows
 
 
 def _symmetric_graph(n: int, rows) -> Graph:
@@ -147,41 +160,43 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
     a mixed-radix number whose digits are its coefficients, factor by
     factor, each in base its factor's modulus, most significant first: the
     ring's enumeration order.  The idempotents of a product are the tuples
-    of the factors' idempotents, so the neighbours e - x of x = (a, rest)
-    are the first factor's e_1 - a, each combined with a neighbour of rest
-    in the product of the remaining factors.  Rows are therefore built from
-    the last factor to the first: the row of (a, rest) is the row of rest
-    shifted by (e_1 - a) times the size of the remaining product, OR-ed
-    over e_1.  The indices of e_1 - a are the factor's own
-    (`FactorSpec.offsets`), the same in every ring built from it.
+    of the factors' idempotents, so the neighbours e - x of x are found
+    digit by digit: before its loop is cleared, row x is the OR of
+    1 << sum_i j_i * w_i over each j_i in offsets_i[a_i], where a_i is x's
+    digit in factor i and w_i the size of the product of the later factors.
+    The indices j of e - a are the factor's own (`FactorSpec.offsets`), the
+    same in every ring built from it.
 
-    Row x has its own bit set exactly when 2x is idempotent, that is when
-    each factor's 2x_k is (`FactorSpec.doubles_idempotent`), so the loops
-    are cleared by XOR on just those rows, whose indices are built factor by
-    factor as the rows are.  A flag wrong either way leaves a diagonal bit
-    set, which `Graph` rejects as a loop.
+    The graph's facts come from the factors, and no row is made for them.
+    Every row has |Id(R)| bits before its loop is cleared, and it has its
+    own bit exactly when a_i is in offsets_i[a_i] for every digit, that is
+    when 2x is idempotent.  So the degrees are |Id(R)|, less 1 on those
+    rows, which `_loop_rows` multiplies out of the offset tables, and the
+    edge count is half their sum.  The loops are read from the offsets, not
+    from `FactorSpec.doubles_idempotent`, so `theorems.verify_degree_formula`
+    still compares two tables computed apart.  The components are the
+    cosets of the idempotents' additive span, paired with their negatives,
+    which `_product_components` multiplies out of the factors' cosets and
+    checks against the degrees; the cosets count their loops by the
+    doubling flags, so a flag wrong either way fails that check.
 
-    The rows are symmetric by construction, so the product is not checked
-    for symmetry; its factors are.  Before the diagonal is cleared, the
-    adjacency matrix is the Kronecker product of the factors' matrices
+    The rows are a `ProductRows`, which makes a row when it is read and
+    checks it for range and loops with the texts of `Graph(n, rows)`.  They
+    are symmetric by construction, so they are not checked for symmetry;
+    their factors are.  Before the diagonal is cleared, the adjacency matrix
+    is the Kronecker product of the factors' matrices
     M[a][j] = [j in offsets[a]], and a Kronecker product of symmetric
     matrices is symmetric.  Each M is symmetric because addition commutes:
     e - a = j iff e - j = a.  So each factor's table is checked instead,
     which costs the sum of |R_i| |Id(R_i)|: every j in offsets[a] must lie
     in range(size), which also keeps every bit below the vertex count, and
     have a in offsets[j].  A table that fails raises ValueError naming the
-    factor and the pair.  The rows then go to `_symmetric_graph`, which
-    still checks the row count, the range and the loops.
-
-    The components need no search either: they are the cosets of the
-    idempotents' additive span, paired with their negatives, which
-    `_product_components` multiplies out of the factors' cosets and stores
-    on the graph, where `Graph.components()` finds them.
+    factor and the pair.
 
     Nothing else of the ring is read (`graph_key` lists what is), so a
     builder that comes to read more must add it to the key.
     """
-    degree = len(idempotents(ring))  # each row's bit count before the loops are cleared
+    degree = len(idempotents(ring))  # each row's bit count before its loop is cleared
     factors = ring.spec.factors
     for k, f in enumerate(factors):
         table, size = f.offsets, f.size
@@ -189,18 +204,93 @@ def build_idempotent_graph(ring: FiniteRing) -> Graph:
             for j in offsets:
                 if not (0 <= j < size and a in table[j]):
                     raise ValueError(f"factor {k} offset pair ({a}, {j}) is out of range or unmirrored")
-    g = _symmetric_graph(ring.size, _product_rows(factors))
+    degrees = [degree] * ring.size
+    for v in _loop_rows(factors):
+        degrees[v] -= 1
+    g = Graph.__new__(Graph)
+    g.n, g.rows, g.degrees = ring.size, ProductRows(factors, ring.size), tuple(degrees)
+    g._edge_count = sum(degrees) // 2
     g._components = _product_components(factors, degree, g)
     return g
 
 
+class ProductRows:
+    """The rows of a graph that `build_idempotent_graph` built, made from
+    its factors' offset tables when they are read.
+
+    rows[v] makes row v alone on its first read and keeps it; an index
+    outside range(n) raises IndexError.  Iteration makes every row at once,
+    by `_product_rows`, and keeps them, and rows[v] reads those from then
+    on.  A row is checked as it is made, for a bit at or beyond n and for a
+    loop, with the texts of `Graph(n, rows)`."""
+
+    __slots__ = ("factors", "n", "made", "every")
+
+    def __init__(self, factors, n: int):
+        self.factors, self.n = factors, n
+        self.made = {}  # row index -> row, for the rows made one at a time
+        self.every = None  # all the rows, once iterated
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise IndexError(f"row {v} of a graph on {self.n} vertices")
+        if self.every is not None:
+            return self.every[v]
+        row = self.made.get(v)
+        if row is None:
+            row = self.made[v] = self._make(v)
+        return row
+
+    def __iter__(self):
+        if self.every is None:
+            self.every = _checked_rows(self.n, _product_rows(self.factors))
+        return iter(self.every)
+
+    def _make(self, v: int) -> int:
+        """Row v, from the last factor to the first: the offsets of each
+        digit a shift the row so far by j * width, OR-ed over j, and the
+        loop bit is cleared when every digit a is in its offsets[a]."""
+        row, loop, rest, width = 1, True, v, 1
+        for f in reversed(self.factors):
+            rest, a = divmod(rest, f.size)
+            offsets = f.offsets[a]
+            wider = 0
+            for j in offsets:
+                wider |= row << j * width
+            row, loop, width = wider, loop and a in offsets, width * f.size
+        if loop:
+            row ^= 1 << v
+        if row >> self.n:
+            raise ValueError(f"row {v} has bits beyond vertex count")
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        return row
+
+
+def _loop_rows(factors) -> list[int]:
+    """The rows of `build_idempotent_graph` with their own bit set before
+    the loops are cleared, ascending: the x with a in offsets[a] for each
+    digit a, its factor's, multiplied out from the last factor to the first
+    as `_product_rows` builds the rows."""
+    loops = [0]  # the product of no factors: one element, adjacent to itself
+    width = 1
+    for f in reversed(factors):
+        loops = [a * width + i for a, offsets in enumerate(f.offsets) if a in offsets for i in loops]
+        width *= f.size
+    return loops
+
+
 def _product_rows(factors) -> list[int]:
-    """The rows of `build_idempotent_graph`, loops cleared."""
+    """Every row of `build_idempotent_graph`, loops cleared, built from the
+    last factor to the first: the row of (a, rest) is the row of rest
+    shifted by j times the size of the remaining product, OR-ed over j in
+    the factor's offsets[a]."""
     rows = [1]  # the product of no factors: one element, adjacent to itself
-    loops = [0]  # the indices of the rows with their own bit set
     for f in reversed(factors):
         width = len(rows)
-        loops = [j * width + i for j, d in enumerate(f.doubles_idempotent) if d for i in loops]
         wider = []
         for offsets in f.offsets:
             shifts = [j * width for j in offsets]
@@ -210,7 +300,7 @@ def _product_rows(factors) -> list[int]:
                     row |= r << s
                 wider.append(row)
         rows = wider
-    for i in loops:
+    for i in _loop_rows(factors):
         rows[i] ^= 1 << i
     return rows
 
@@ -235,9 +325,12 @@ def _product_components(factors, degree: int, g: Graph) -> tuple[tuple[int, int,
     component of k vertices with c loops has (k * degree - c) / 2 edges.
     The result is checked without a walk over the rows: the masks must add
     up to all n bits with counts that sum to n, so they are disjoint and
-    cover every vertex, and the edge counts must sum to g's.  ValueError
-    otherwise.  Any partition passes that check, a wrong pairing of C and
-    -C included; Tier-1's comparison with `masked_components` is its anchor."""
+    cover every vertex, and the edge counts must sum to g's.  The cosets
+    count their loops by the doubling flags and g's edge count is half its
+    degree sum, whose loops come from the offset tables, so this last test
+    compares the two.  ValueError otherwise.  Any partition passes that
+    check, a wrong pairing of C and -C included; Tier-1's comparison with
+    `masked_components` is its anchor."""
     # The cosets are lists, not tuples: the interpreter keeps freed tuples
     # on a free list, and the 1,024 cosets of GF(64)^2 held there raised
     # the classify-large workload's peak RSS by about 0.5 MB.

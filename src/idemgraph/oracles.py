@@ -81,7 +81,7 @@ def find_induced(g: Graph, pattern: Graph) -> frozenset[int] | None:
     if k > g.n:
         return None
     plan = _match_plan(pattern.rows)
-    rows = g.rows
+    rows = tuple(g.rows)
     full = (1 << g.n) - 1
     matched: list[int] = []
 

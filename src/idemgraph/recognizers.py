@@ -47,7 +47,7 @@ def planar_certificate(g: Graph) -> Certificate | None:
     """None if g is not planar, else the certificate `certificates.check_planar`
     checks: the pieces of `_certificate`, each block that path addition
     decided with the faces of its embedding."""
-    return _certificate(g, _planar_by_counts, lambda verts: _planar_block(g.rows, verts))
+    return _certificate(g, _planar_by_counts, _planar_block)
 
 
 def _planar_by_counts(n: int, m: int) -> bool | None:
@@ -62,11 +62,12 @@ def _planar_by_counts(n: int, m: int) -> bool | None:
 def _certificate(g: Graph, by_counts, embed) -> Certificate | None:
     """The pieces of g as (vertex mask, faces), or None when a piece is
     rejected.  by_counts(k, m) decides a piece of k vertices and m edges
-    (its faces are None) or leaves it to embed(verts), which returns its
-    faces or None.  The graph's counts come first, then each component's,
-    then each block's, found by one block search over the components still
-    open: the pieces are the whole graph, or each component the counts
-    decide and each block of the others."""
+    (its faces are None) or leaves it to embed(rows, verts), which returns
+    its faces or None; rows is tuple(g.rows), taken only when a component
+    is left to the block search.  The graph's counts come first, then each
+    component's, then each block's, found by one block search over the
+    components still open: the pieces are the whole graph, or each
+    component the counts decide and each block of the others."""
     known = by_counts(g.n, g.edge_count())
     if known is not None:
         return [((1 << g.n) - 1, None)] if known else None
@@ -79,9 +80,10 @@ def _certificate(g: Graph, by_counts, embed) -> Certificate | None:
             return None
         else:
             pieces.append((comp, None))
+    rows = tuple(g.rows) if comps else ()
     for verts, m in _blocks(g, comps):
         known = by_counts(verts.bit_count(), m)
-        faces = embed(verts) if known is None else None
+        faces = embed(rows, verts) if known is None else None
         if not (known or faces):
             return None
         pieces.append((verts, faces))
@@ -255,10 +257,10 @@ def outerplanar_certificate(g: Graph) -> Certificate | None:
     of it.  The apex rows are built for the first such block."""
     apex = None
 
-    def embed(verts):
+    def embed(rows, verts):
         nonlocal apex
         if apex is None:
-            apex = [r | 1 << g.n for r in g.rows] + [(1 << g.n) - 1]
+            apex = [r | 1 << g.n for r in rows] + [(1 << g.n) - 1]
         return _planar_block(apex, verts | 1 << g.n)
 
     return _certificate(g, _outerplanar_by_counts, embed)
@@ -344,8 +346,9 @@ def _blocks(g: Graph, comps):
     child u of p with low[u] >= depth[p] closes a block: p, u and the
     vertices above u on the stack, with the up edges of all but p.  Two
     blocks share at most one vertex, so these are all the edges among the
-    block's vertices.  An isolated vertex is in no block."""
-    rows = g.rows
+    block's vertices.  An isolated vertex is in no block.  The search reads
+    tuple(g.rows), taken only when comps lists a component."""
+    rows = tuple(g.rows) if comps else ()
     depth = [0] * g.n  # 0 until found; a root has depth 1
     low = [0] * g.n
     up = [0] * g.n

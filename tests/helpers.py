@@ -1,5 +1,6 @@
 """Graph constructors, oracles and tools that only the tests use."""
 
+import collections
 import itertools
 import json
 import random
@@ -44,6 +45,34 @@ def sub(ring, x, y):
 
 def has_edge(g: Graph, i: int, j: int) -> bool:
     return bool(g.rows[i] >> j & 1)
+
+
+class CountedRows:
+    """A graph's adjacency rows, wrapped to count how they are read: read[v]
+    is how many times row v was read by index, reads the total, and passes
+    how many times the rows were iterated, each pass a read of them all.
+    A built graph's `ProductRows` makes a row on its first read by index
+    and makes every row on its first pass."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.read = collections.Counter()
+        self.passes = 0
+
+    @property
+    def reads(self) -> int:
+        return sum(self.read.values())
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, v):
+        self.read[v] += 1
+        return self.rows[v]
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.rows)
 
 
 def reference_graph_check(n: int, rows) -> tuple[tuple[int, ...], int]:

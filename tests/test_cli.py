@@ -12,14 +12,15 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import idemgraph
-from idemgraph import cli, selftest, sweep
+from idemgraph import cli, recognizers, selftest, sweep
 from idemgraph.cli import main
-from idemgraph.graphs import Graph, build_idempotent_graph
+from idemgraph.graphs import Graph, ProductRows, build_idempotent_graph, export_dot
 from idemgraph.rings import (
     FactorSpec,
     FiniteRing,
@@ -39,7 +40,7 @@ from idemgraph.sweep import (
     summary_json,
 )
 
-from helpers import time_budget
+from helpers import CountedRows, time_budget
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -329,8 +330,8 @@ class TestSweep:
             for group, graphs in jobs:
                 assert len(graphs) == 1
                 for spec in group:
-                    rows = build_idempotent_graph(build_ring(spec)).rows
-                    assert rows == graphs[0].rows
+                    rows = tuple(build_idempotent_graph(build_ring(spec)).rows)
+                    assert rows == tuple(graphs[0].rows)
                     by_rows.setdefault(rows, []).append(spec)
             # each job has one rows tuple, so as many jobs as distinct rows
             # means that no two jobs share one
@@ -544,7 +545,7 @@ class TestCli:
         assert len(reports) == summary["rings_checked"] == 34
         twins = {}
         for spec in reports:
-            twins.setdefault(build_idempotent_graph(build_ring(spec)).rows, []).append(spec)
+            twins.setdefault(tuple(build_idempotent_graph(build_ring(spec)).rows), []).append(spec)
         # the report names GF(4) by its canonical spec
         gf4 = "Z2[x]/(x^2 + x + 1)"
         assert [gf4, "Z2[x]/(x^2)"] in twins.values()
@@ -713,6 +714,106 @@ class TestCli:
 
     def test_usage_error(self):
         assert main(["classify"]) == 1
+
+
+class TestRowsMadeOnDemand:
+    """A built graph makes a row only when something reads it.  Sparse
+    readers, such as the cograph walk, index single rows; a reader that
+    walks a whole graph, such as a block search or path addition, takes its
+    rows all at once."""
+
+    def test_classify_large_makes_three_rows_of_z4_6_and_none_of_the_others(self, monkeypatch, capsys):
+        built, build = [], cli.build_idempotent_graph
+
+        def counting(ring):
+            g = build(ring)
+            g.rows = CountedRows(g.rows)
+            built.append(g.rows)
+            return g
+
+        monkeypatch.setattr(cli, "build_idempotent_graph", counting)
+        counted = {}
+        for spec in LARGE_REPORT_SHA256:
+            assert main(["classify", spec, "--json"]) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == LARGE_REPORT_SHA256[spec]
+            (counted[spec],) = built
+            built.clear()
+        made = {spec: len(rows.rows.made) for spec, rows in counted.items()}
+        assert made["Z4*Z4*Z4*Z4*Z4*Z4"] <= 3
+        assert made == {
+            "Z4*Z4*Z4*Z4*Z4*Z4": made["Z4*Z4*Z4*Z4*Z4*Z4"],
+            "GF(64)*GF(64)": 0,
+            "Z2*Z2*Z2*Z2*Z2*Z2*Z2*Z2": 0,
+            "GF(16)*GF(16)*GF(16)": 0,
+        }
+        for rows in counted.values():
+            assert rows.passes == 0 and rows.rows.every is None
+            assert set(rows.read) == set(rows.rows.made)
+
+    @pytest.mark.parametrize("command", ["classify", "export"])
+    def test_a_dot_file_reads_the_rows_in_one_pass(self, command, monkeypatch, capsys, tmp_path):
+        built, build = [], cli.build_idempotent_graph
+
+        def counting(ring):
+            g = build(ring)
+            g.rows = CountedRows(g.rows)
+            built.append(g)
+            return g
+
+        monkeypatch.setattr(cli, "build_idempotent_graph", counting)
+        dot = tmp_path / "g.dot"
+        assert main([command, "Z4*Z4*Z4*Z4", "--dot", str(dot)]) == 0
+        (g,) = built
+        assert g.rows.passes == 1  # classify's cograph walk also reads a few rows alone
+        if command == "export":
+            assert g.rows.reads == 0 and not g.rows.rows.made
+        assert dot.read_text() == export_dot(Graph(g.n, tuple(g.rows)))
+
+    def test_a_verify_sweep_makes_each_row_once_and_walks_whole_graphs_in_bulk(self, monkeypatch, capsys):
+        made = Counter()  # (rows, v) -> times row v was made alone
+        bulk = Counter()  # rows -> times all of them were made
+        searched, walked = [], []
+        make, every = ProductRows._make, ProductRows.__iter__
+        build, blocks, certificate = sweep.build_idempotent_graph, recognizers._blocks, recognizers._certificate
+
+        def making(rows, v):
+            made[rows, v] += 1
+            return make(rows, v)
+
+        def iterating(rows):
+            if rows.every is None:
+                bulk[rows] += 1
+            return every(rows)
+
+        def building(ring):
+            g = build(ring)
+            g.rows = CountedRows(g.rows)
+            return g
+
+        def searching(g, comps):
+            if comps:
+                searched.append(g.rows.rows)
+            return blocks(g, comps)
+
+        def certifying(g, by_counts, embed):
+            # the block search and path addition, with the counts around them
+            before = g.rows.reads
+            pieces = certificate(g, by_counts, embed)
+            walked.append(g.rows.reads - before)
+            return pieces
+
+        monkeypatch.setattr(ProductRows, "_make", making)
+        monkeypatch.setattr(ProductRows, "__iter__", iterating)
+        monkeypatch.setattr(sweep, "build_idempotent_graph", building)
+        monkeypatch.setattr(recognizers, "_blocks", searching)
+        monkeypatch.setattr(recognizers, "_certificate", certifying)
+        assert main(["verify", "--json", "--jobs", "1"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_REPORT_SHA256[1]
+        assert made and set(made.values()) == {1}
+        assert searched and all(bulk[rows] == 1 for rows in searched)
+        assert set(bulk.values()) == {1}
+        assert walked and not any(walked)
 
 
 class TestNoTupleArithmetic:

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from idemgraph import graphs as graphs_module
 from idemgraph.graphs import (
     Graph,
+    ProductRows,
+    _product_rows,
     _symmetric_graph,
     build_idempotent_graph,
     component_census,
@@ -106,9 +109,11 @@ class TestGraphType:
 
 
 class TestValidationRoute:
-    """Public `Graph(n, rows)` walks the bits above the diagonal; the
-    module's builders, whose rows are symmetric by construction, go
-    through `_symmetric_graph`, which makes every check but the walk."""
+    """Public `Graph(n, rows)` walks the bits above the diagonal;
+    `graph_from_edges`, whose rows are symmetric by construction, goes
+    through `_symmetric_graph`, which makes every check but the walk.  A
+    built idempotent graph goes through neither: its facts come from the
+    factors, and its rows are checked as they are made."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
@@ -140,13 +145,15 @@ class TestValidationRoute:
     @pytest.mark.parametrize("spec", CLASSIFY_LARGE)
     def test_large_built_graphs_are_not_walked(self, routes, spec):
         g = build_idempotent_graph(build_ring(spec))
-        assert routes == {"walked": [], "trusted": [g.n]}
-        assert g.edge_count() == Graph(g.n, g.rows).edge_count()
+        assert routes == {"walked": [], "trusted": []}
+        assert isinstance(g.rows, ProductRows)
+        assert g.edge_count() == Graph(g.n, tuple(g.rows)).edge_count()
 
     def test_every_default_sweep_graph_is_not_walked(self, routes):
         built = [build_idempotent_graph(build_ring(spec)) for spec in enumerate_sweep_specs(SweepConfig())]
         assert len(built) == 403
-        assert routes == {"walked": [], "trusted": [g.n for g in built]}
+        assert routes == {"walked": [], "trusted": []}
+        assert all(isinstance(g.rows, ProductRows) for g in built)
 
 
 @pytest.mark.parametrize("n", [*range(71), 257])
@@ -248,7 +255,8 @@ def test_graph_checks_match_a_pair_scan(n, seed, density):
 
 def test_every_built_graph_passes_the_full_check():
     # the builder's graphs skip the symmetry walk, trusted by the Kronecker
-    # argument; public Graph() walks one graph per graph_key group of the
+    # argument, and take their degrees and edge count from the factors;
+    # public Graph() walks the rows of one graph per graph_key group of the
     # default sweep and each large ring's, and the pair scan checks every
     # sweep graph (at most 256 vertices)
     specs = enumerate_sweep_specs(SweepConfig())
@@ -257,9 +265,10 @@ def test_every_built_graph_passes_the_full_check():
     for spec in [*groups.values(), *map(parse_ring_spec, CLASSIFY_LARGE)]:
         g = build_idempotent_graph(build_ring(spec))
         facts = g.degrees, g.edge_count()
-        assert graph_facts(g.n, g.rows) == facts
+        rows = tuple(g.rows)
+        assert graph_facts(g.n, rows) == facts
         if g.n <= 256:
-            assert reference_graph_check(g.n, g.rows) == facts
+            assert reference_graph_check(g.n, rows) == facts
 
 
 @pytest.mark.parametrize("n", [3, 300])
@@ -272,10 +281,11 @@ def test_a_negative_row_is_a_bit_beyond_the_vertex_count(n):
 
 
 def assert_stored_invariants_match_rows(g):
-    assert g.degrees == tuple(r.bit_count() for r in g.rows)
+    rows = tuple(g.rows)
+    assert g.degrees == tuple(r.bit_count() for r in rows)
     assert len(g.degrees) == g.n
-    assert g.edge_count() == sum(r.bit_count() for r in g.rows) // 2 == len(list(g.edges()))
-    assert g.components() == tuple(masked_components(g.rows, (1 << g.n) - 1, g.degrees))
+    assert g.edge_count() == sum(r.bit_count() for r in rows) // 2 == len(list(g.edges()))
+    assert g.components() == tuple(masked_components(rows, (1 << g.n) - 1, g.degrees))
     assert [set_bits(c) for c, _, _ in g.components()] == components(g)
     for c, k, m in g.components():
         assert k == c.bit_count()
@@ -371,16 +381,19 @@ class TestBuildIdempotentGraph:
         [((True, True, True, False), 1), ((False, False, True, False), 0)],
         ids=["element-1-flagged", "element-0-unflagged"],
     )
-    def test_a_wrong_doubling_flag_leaves_a_loop_that_graph_rejects(self, flags, loop):
-        # Z4: 2a is idempotent for a = 0 and 2 only; a flag wrong either way
-        # leaves that row's own bit set, since the builder clears by XOR
+    def test_a_wrong_doubling_flag_is_rejected_by_the_partition_check(self, flags, loop):
+        # Z4: 2a is idempotent for a = 0 and 2 only, and the flag of element
+        # `loop` is wrong.  The degrees take their loops from the offset
+        # tables and the cosets from the doubling flags, so the cosets' loop
+        # count, and with it their edge count, differs from the graph's
         r = build_ring("Z3 * Z4")
         factor = r.spec.factors[1]
         assert factor.doubles_idempotent == (True, False, True, False)
+        assert (loop in factor.offsets[loop]) != flags[loop]
         factor.__dict__["doubles_idempotent"] = flags  # the cached_property's slot
         with pytest.raises(ValueError) as raised:
             build_idempotent_graph(r)
-        assert str(raised.value) == f"loop at vertex {loop}"
+        assert str(raised.value) == "the factor graphs' components do not partition the graph"
 
     @pytest.mark.parametrize(
         "row, pair",
@@ -467,7 +480,7 @@ class TestProductComponents:
     def test_built_components_equal_the_search(self, spec):
         g = build_idempotent_graph(build_ring(spec))
         assert g._components is not None  # the builder's, not a search on first use
-        assert g.components() == tuple(masked_components(g.rows, (1 << g.n) - 1, g.degrees))
+        assert g.components() == tuple(masked_components(tuple(g.rows), (1 << g.n) - 1, g.degrees))
 
     def test_built_graphs_are_not_searched(self, monkeypatch):
         def search(*args):
@@ -497,6 +510,45 @@ class TestProductComponents:
         with pytest.raises(ValueError) as raised:
             build_idempotent_graph(r)
         assert str(raised.value) == "the factor graphs' components do not partition the graph"
+
+
+class TestProductRows:
+    """A built graph's rows are made when they are read: row v alone by
+    index, every row at once by iteration.  Either way, and in either order,
+    they are the rows `_product_rows` builds all at once."""
+
+    def test_every_row_equals_the_eager_row_read_in_either_order(self):
+        specs = [*enumerate_sweep_specs(SweepConfig()), *map(parse_ring_spec, CLASSIFY_LARGE + ["Z4096", "Z2*Z2048"])]
+        assert len(specs) == 409
+        for spec in specs:
+            ring = build_ring(spec)
+            eager, n = _product_rows(spec.factors), ring.size
+            assert len(eager) == n
+            indexed = build_idempotent_graph(ring).rows
+            assert len(indexed) == n
+            assert [indexed[v] for v in range(n)] == eager  # each made alone
+            assert tuple(indexed) == tuple(eager)  # then all at once
+            assert [indexed[v] for v in range(n)] == eager  # then read from those
+            iterated = build_idempotent_graph(ring).rows
+            assert tuple(iterated) == tuple(eager)
+            assert [iterated[v] for v in range(n)] == eager
+            for rows in (indexed, iterated, build_idempotent_graph(ring).rows):
+                for v in (-1, n):
+                    with pytest.raises(IndexError):
+                        rows[v]
+
+    def test_a_row_is_checked_as_it_is_made(self):
+        # a factor of 2 elements whose element 0 has an offset 3 beyond it:
+        # the builder's factor check rejects such a table, so it is fed to
+        # the rows directly; both ways of making row 0 name it
+        factor = SimpleNamespace(size=2, offsets=((0, 3), (1,)))
+        with pytest.raises(ValueError) as raised:
+            ProductRows((factor,), 2)[0]
+        assert str(raised.value) == "row 0 has bits beyond vertex count"
+        with pytest.raises(ValueError) as raised:
+            tuple(ProductRows((factor,), 2))
+        assert str(raised.value) == "row 0 has bits beyond vertex count"
+        assert ProductRows((factor,), 2)[1] == 0  # its loop is cleared
 
 
 @settings(max_examples=150, deadline=None)

@@ -37,6 +37,7 @@ from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
 from idemgraph.theorems import PROPERTIES
 
 from helpers import (
+    CountedRows,
     complete_bipartite_graph,
     complete_graph,
     disjoint_union,
@@ -380,19 +381,6 @@ def record_embeddings(monkeypatch):
     return results
 
 
-class CountedRows(tuple):
-    """Adjacency rows that count how many are read."""
-
-    reads = 0
-
-    def __getitem__(self, v):
-        self.reads += 1
-        return tuple.__getitem__(self, v)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-
 class TestCountsPerComponent:
     # 1,024 separate K4s, the shape of G_Id(GF(64) x GF(64)); 6,144 edges on
     # 4,096 vertices leave the whole graph's planar counts open
@@ -444,6 +432,7 @@ class TestCountsPerComponent:
         g.rows = CountedRows(g.rows)
         assert not is_cograph(g)
         assert 0 < g.rows.reads <= 16
+        assert g.rows.passes == 0
 
     def test_the_cograph_walk_starts_from_each_component_that_is_not_complete(self, monkeypatch):
         # K5 minus an edge is a cograph (two non-adjacent vertices joined to

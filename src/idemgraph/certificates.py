@@ -1,22 +1,26 @@
-"""The checker of the planar and outerplanar yes verdicts.
+"""The checkers of the recognizers' evidence: yes certificates for planar,
+outerplanar, split and threshold, and count witnesses of a planar or
+outerplanar no.
 
-A certifying recognizer returns, with a yes, a certificate that a simple
+A certifying recognizer returns, with its verdict, evidence that a simple
 and independent checker confirms (McConnell, Mehlhorn, Näher and
-Schweitzer, "Certifying algorithms", Comput. Sci. Rev. 5(2), 2011).
-`recognizers.planar_certificate(g)` and `outerplanar_certificate(g)` return
-one as a list of pieces `(verts, faces)`: a vertex mask, and either None,
-when the piece's vertex and edge counts decide it, or the faces of a planar
-embedding of the subgraph the mask induces, each a list of vertices in
-cyclic order.  This module reads only the graph and the certificate, and
-imports nothing from `recognizers`.
+Schweitzer, "Certifying algorithms", Comput. Sci. Rev. 5(2), 2011).  This
+module reads only the graph and the evidence, and imports nothing from
+`recognizers`.
 
-A certificate shows g planar when
+`recognizers.planar_certificate(g)` and `outerplanar_certificate(g)` return
+a yes certificate as a list of pieces `(verts, faces)`: a vertex mask, and
+either None, when the piece's vertex and edge counts decide it, or the
+faces of a planar embedding of the subgraph the mask induces, each a list
+of vertices in cyclic order.  A certificate shows g planar when
 - the edges the pieces induce partition the edges of g;
 - the graph linking each piece to each vertex it shares with another piece
   is a forest, so g is its pieces glued at single vertices in a tree, and
   is planar iff each piece is;
 - each piece with no faces has at most 4 vertices or at most 8 edges (K5
-  has 5 and 10, K3,3 has 6 and 9, and so does any subdivision);
+  has 5 and 10, K3,3 has 6 and 9, and so does any subdivision), or is
+  connected with at most k + 2 edges on k vertices: its cyclomatic number
+  m - k + 1 is at most 3, no minor raises it, and K3,3 has 4 and K5 has 6;
 - each piece with faces is connected, every directed edge of it lies on
   exactly one face, the faces around each vertex form one cycle, so the
   faces are those of an embedding in a closed surface, and V - E + F = 2,
@@ -26,8 +30,24 @@ A graph is outerplanar iff it stays planar when one more vertex, the apex,
 is joined to all of it (Chartrand and Harary, 1967).  An outerplanar
 certificate has the same pieces, and gluing at single vertices keeps
 outerplanarity too.  A piece with no faces has at most 3 vertices or at
-most 5 edges (K4 and K2,3 each have 6).  A piece with faces has those of
-the piece plus the apex, numbered g.n, and passes the same face check.
+most 5 edges (K4 and K2,3 each have 6), or is connected with at most k
+edges (K4 has cyclomatic number 3 and K2,3 has 2).  A piece with faces has
+those of the piece plus the apex, numbered g.n, and passes the same face
+check.
+
+The witness of a planar (outerplanar) no is a vertex mask whose induced
+subgraph, its edges counted here from the rows, has k >= 3 vertices and
+more than 3k - 6 edges (k >= 2 and more than 2k - 3): no planar
+(outerplanar) graph has one, so g, which holds it, is not planar
+(outerplanar).
+
+`recognizers.split_certificate(g)` returns a yes as the clique size m: the
+m vertices of the largest degrees, ties broken by the lower index, must be
+a clique and the others an independent set.  A threshold yes has the same
+m, and the neighbourhoods of the independent side must also be nested, a
+chain under inclusion; the split graphs with that property are exactly the
+threshold graphs (Chvatal and Hammer 1977; Mahadev and Peled, "Threshold
+Graphs and Related Topics", 1995).
 """
 
 from __future__ import annotations
@@ -39,7 +59,9 @@ def check_planar(g: Graph, cert) -> bool:
     rows = tuple(g.rows)
     pieces = _glued(g, rows, cert)
     return pieces is not None and all(
-        k <= 4 or m <= 8 if faces is None else _embeds(rows, verts, m, faces)
+        (k <= 4 or m <= 8 or m <= k + 2 and _connected(rows, verts))
+        if faces is None
+        else _embeds(rows, verts, m, faces)
         for verts, k, m, faces in pieces
     )
 
@@ -52,7 +74,7 @@ def check_outerplanar(g: Graph, cert) -> bool:
     apex = None
     for verts, k, m, faces in pieces:
         if faces is None:
-            if not (k <= 3 or m <= 5):
+            if not (k <= 3 or m <= 5 or m <= k and _connected(rows, verts)):
                 return False
             continue
         if apex is None:
@@ -60,6 +82,59 @@ def check_outerplanar(g: Graph, cert) -> bool:
         if not _embeds(apex, verts | 1 << g.n, m + k, faces):  # the apex adds k edges
             return False
     return True
+
+
+def check_nonplanar(g: Graph, mask: int) -> bool:
+    k, e = _induced(g, mask)
+    return k >= 3 and e > 3 * k - 6
+
+
+def check_nonouterplanar(g: Graph, mask: int) -> bool:
+    k, e = _induced(g, mask)
+    return k >= 2 and e > 2 * k - 3
+
+
+def _induced(g: Graph, mask: int) -> tuple[int, int]:
+    """The vertex and edge counts of the subgraph the vertex mask induces,
+    its edges counted from the rows; (0, 0) for a mask with a bit outside
+    g's vertices."""
+    if mask < 0 or mask >> g.n:
+        return 0, 0
+    rows = tuple(g.rows)
+    return mask.bit_count(), sum((rows[v] & mask).bit_count() for v in set_bits(mask)) // 2
+
+
+def check_split(g: Graph, m: int) -> bool:
+    return _independent_rows(g, m) is not None
+
+
+def check_threshold(g: Graph, m: int) -> bool:
+    nbrs = _independent_rows(g, m)
+    if nbrs is None:
+        return False
+    nbrs.sort(key=int.bit_count)
+    return not any(a & ~b for a, b in zip(nbrs, nbrs[1:]))
+
+
+def _independent_rows(g: Graph, m: int) -> list[int] | None:
+    """The rows of the independent side, when the m vertices of the largest
+    degrees, ties broken by the lower index, are a clique and the others an
+    independent set; else None."""
+    if not 0 <= m <= g.n:
+        return None
+    rows = tuple(g.rows)
+    order = sorted(range(g.n), key=g.degrees.__getitem__, reverse=True)  # stable: ties by index
+    clique = 0
+    for v in order[:m]:
+        clique |= 1 << v
+    side = [rows[v] for v in order[m:]]
+    if any(clique & ~rows[v] != 1 << v for v in order[:m]) or any(r & ~clique for r in side):
+        return None
+    return side
+
+
+def _connected(rows, verts: int) -> bool:
+    return len(masked_components(rows, verts)) == 1
 
 
 def _glued(g: Graph, rows, cert) -> list[tuple[int, int, int, list | None]] | None:
@@ -113,7 +188,7 @@ def _embeds(rows, verts: int, edges: int, faces) -> bool:
     surface needs it to be one cycle: a vertex whose turns form two cycles
     is two points of the surface, and the count V - E + F = 2 could then
     hold on a non-planar piece, such as a subdivided K3,3."""
-    if len(masked_components(rows, verts)) != 1:
+    if not _connected(rows, verts):
         return False
     turn = {}  # (p, x) -> q: some face runs p, x, q
     for face in faces:

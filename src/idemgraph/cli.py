@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the summary as JSON")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("selftest", help="compare recognizers with brute-force oracles")
+    p = sub.add_parser("selftest", help="check recognizers by certificates, witnesses or brute-force oracles")
     p.add_argument("--exhaustive-n", type=int_in(0, MAX_EXHAUSTIVE_N), default=6)
     p.add_argument("--random-count", type=int_in(0, MAX_RANDOM_COUNT), default=500)
     p.add_argument("--random-n", type=int_in(0, MAX_RANDOM_N), default=12)

@@ -9,10 +9,14 @@ are deliberately independent of the decision procedures in `recognizers`.
 
 The minor search stops at the first minor it finds, but must exhaust every
 contraction to answer that none exists.  So `selftest` asks it only about
-the planar and outerplanar no verdicts, where the first search usually
-finds its minor; a yes comes with a certificate that `certificates`
-checks.  The tests still hold the oracles to every verdict, and the
-certificates to the oracles.
+the planar and outerplanar no verdicts that path addition decided, where
+the first search usually finds its minor; a yes comes with a certificate,
+and a no the edge counts decide with the piece they reject as a witness,
+both of which `certificates` checks.  The induced-subgraph search, which
+must likewise try every vertex set to answer that no pattern is there, is
+asked only about the split and threshold no verdicts, whose yes verdicts
+come with a certificate too, and about every cograph verdict.  The tests
+still hold the oracles to every verdict, and the evidence to the oracles.
 """
 
 from __future__ import annotations

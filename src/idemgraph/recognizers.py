@@ -3,16 +3,23 @@ cactus, unicyclic.
 
 Each recognizer is a polynomial-time decision procedure that returns a
 plain bool; threshold is split and cograph, since the threshold graphs are
-exactly the split cographs.  Everything works directly on bitset rows.  The
-self-test harness checks every verdict independently: the planar and
-outerplanar yes verdicts by the certificates that `planar_certificate` and
-`outerplanar_certificate` return and `certificates` checks, and every other
-verdict by the matching brute-force oracle in `oracles`.
+exactly the split cographs.  Everything works directly on bitset rows.
+Planar, outerplanar, split and threshold each decide by one certifying
+code path, and the bool is read off its evidence: `certify_planar` and
+`certify_outerplanar` return the verdict with a yes certificate or a no
+witness, and `split_certificate` and `threshold_certificate` the clique
+size of a yes.  The self-test harness checks every verdict independently:
+one with evidence by `certificates`, any other by the matching brute-force
+oracle in `oracles`.
 
 Planarity is decided by counts at three levels: the whole graph, each
 component and each biconnected block.  A graph with at most 4 vertices or 8
 edges is planar (K5 needs 10 edges and K3,3 needs 9), and one with more than
-3n - 6 edges is not (Euler).  The graph's counts come first; then each
+3n - 6 edges is not (Euler).  A connected piece, a component or a block,
+with at most 2 edges more than vertices is planar too: its cyclomatic
+number m - k + 1 is at most 3, no minor raises it, and K3,3 has 4 and K5
+has 6.  A whole graph is not held to that rule, since its isolated vertices
+would lower its m - n.  The graph's counts come first; then each
 component's, read from `Graph.components()`, where one rejected component
 makes the graph non-planar; then, by one block search over the components
 still open, each block's.  A block the counts do not decide goes to the
@@ -22,11 +29,13 @@ into a face whose boundary holds all the fragment's attachment vertices.
 The faces it keeps are a planar embedding of the block, and the
 certificate of a yes is the list of pieces the counts and path addition
 decided: each component its counts decide and each block of the others,
-with its faces when path addition decided it.  Outerplanarity is
-planarity of each block plus an apex vertex joined to all of it, by the
-same three levels of counts, with the exit that at most 5 edges is
-outerplanar, and path addition.  The cograph walk skips complete components
-the same way, by their counts.
+with its faces when path addition decided it.  The witness of a no the
+counts decide is the vertex mask of the piece they reject.  Outerplanarity
+is planarity of each block plus an apex vertex joined to all of it, by the
+same three levels of counts, with the exits that at most 5 edges, or a
+connected piece with no more edges than vertices (K4 has cyclomatic number
+3 and K2,3 has 2), is outerplanar, and path addition.  The cograph walk
+skips complete components the same way, by their counts.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ from .graphs import Graph, is_connected, masked_components, set_bits
 
 # Pieces of a graph as (vertex mask, faces or None); `certificates` checks one.
 Certificate = list[tuple[int, list[list[int]] | None]]
+# A verdict with its evidence: (True, a certificate), or (False, the vertex
+# mask of a piece its counts reject, or None when path addition rejects it).
+Evidence = tuple[bool, Certificate | int | None]
 
 
 def is_planar(g: Graph) -> bool:
@@ -47,47 +59,63 @@ def planar_certificate(g: Graph) -> Certificate | None:
     """None if g is not planar, else the certificate `certificates.check_planar`
     checks: the pieces of `_certificate`, each block that path addition
     decided with the faces of its embedding."""
+    planar, evidence = certify_planar(g)
+    return evidence if planar else None
+
+
+def certify_planar(g: Graph) -> Evidence:
+    """Planarity with its evidence, as `_certificate` gives it: a no
+    witness is checked by `certificates.check_nonplanar`."""
     return _certificate(g, _planar_by_counts, _planar_block)
 
 
-def _planar_by_counts(n: int, m: int) -> bool | None:
-    """Planarity when the vertex and edge counts decide it, else None."""
-    if n <= 4 or m <= 8:
+def _planar_by_counts(n: int, m: int, connected: bool = False) -> bool | None:
+    """Planarity when the vertex and edge counts decide it, else None; a
+    connected piece is also planar when m <= n + 2."""
+    if n <= 4 or m <= 8 or connected and m <= n + 2:
         return True
     if m > 3 * n - 6:
         return False
     return None
 
 
-def _certificate(g: Graph, by_counts, embed) -> Certificate | None:
-    """The pieces of g as (vertex mask, faces), or None when a piece is
-    rejected.  by_counts(k, m) decides a piece of k vertices and m edges
-    (its faces are None) or leaves it to embed(rows, verts), which returns
-    its faces or None; rows is tuple(g.rows), taken only when a component
-    is left to the block search.  The graph's counts come first, then each
-    component's, then each block's, found by one block search over the
-    components still open: the pieces are the whole graph, or each
-    component the counts decide and each block of the others."""
+def _certificate(g: Graph, by_counts, embed) -> Evidence:
+    """(True, the pieces of g as (vertex mask, faces)) or (False, the
+    witness of a no).  by_counts(k, m, connected) decides a piece of k
+    vertices and m edges (its faces are None) or leaves it to embed(rows,
+    verts), which returns its faces or None; rows is tuple(g.rows), taken
+    only when a component is left to the block search.  The graph's counts
+    come first, then each component's, then each block's, found by one
+    block search over the components still open: the pieces are the whole
+    graph, or each component the counts decide and each block of the
+    others.  A no is witnessed by the vertex mask of the piece whose counts
+    reject it, and has no witness when path addition rejects a block."""
     known = by_counts(g.n, g.edge_count())
     if known is not None:
-        return [((1 << g.n) - 1, None)] if known else None
+        full = (1 << g.n) - 1
+        return (True, [(full, None)]) if known else (False, full)
     pieces, comps = [], []
     for comp, k, m in g.components():
-        known = by_counts(k, m)
+        known = by_counts(k, m, connected=True)
         if known is None:
             comps.append(comp)
         elif not known:
-            return None
+            return False, comp
         else:
             pieces.append((comp, None))
     rows = tuple(g.rows) if comps else ()
     for verts, m in _blocks(g, comps):
-        known = by_counts(verts.bit_count(), m)
-        faces = embed(rows, verts) if known is None else None
-        if not (known or faces):
-            return None
+        known = by_counts(verts.bit_count(), m, connected=True)
+        if known is None:
+            faces = embed(rows, verts)
+            if faces is None:
+                return False, None
+        elif known:
+            faces = None
+        else:
+            return False, verts
         pieces.append((verts, faces))
-    return pieces
+    return True, pieces
 
 
 def _planar_block(rows, verts: int) -> list[list[int]] | None:
@@ -254,7 +282,16 @@ def outerplanar_certificate(g: Graph) -> Certificate | None:
     `certificates.check_outerplanar` checks: the pieces of `_certificate`
     under `_outerplanar_by_counts`, each block the counts leave open with the
     faces of the block plus an apex vertex, numbered g.n and joined to all
-    of it.  The apex rows are built for the first such block."""
+    of it."""
+    outerplanar, evidence = certify_outerplanar(g)
+    return evidence if outerplanar else None
+
+
+def certify_outerplanar(g: Graph) -> Evidence:
+    """Outerplanarity with its evidence, as `_certificate` gives it under
+    `_outerplanar_by_counts`: a no witness is checked by
+    `certificates.check_nonouterplanar`.  The apex rows are built for the
+    first block the counts leave open."""
     apex = None
 
     def embed(rows, verts):
@@ -266,21 +303,30 @@ def outerplanar_certificate(g: Graph) -> Certificate | None:
     return _certificate(g, _outerplanar_by_counts, embed)
 
 
-def _outerplanar_by_counts(k: int, m: int) -> bool | None:
+def _outerplanar_by_counts(k: int, m: int, connected: bool = False) -> bool | None:
     """Outerplanarity when the counts of k vertices and m edges decide it,
     else None.  At most 5 edges is outerplanar, since K4 and K2,3 each need
-    6.  Otherwise the graph plus the apex has k + 1 vertices and m + k edges,
-    so the planar counts pass k <= 3 and reject m > 2k - 3."""
-    if m <= 5:
+    6, and so is a connected piece with m <= k.  Otherwise the graph plus
+    the apex has k + 1 vertices and m + k edges, so the planar counts pass
+    k <= 3 and reject m > 2k - 3."""
+    if m <= 5 or connected and m <= k:
         return True
     return _planar_by_counts(k + 1, m + k)
 
 
 def is_split(g: Graph) -> bool:
-    """Degree-sequence characterization (Hammer-Simeone).
+    return split_certificate(g) is not None
+
+
+def split_certificate(g: Graph) -> int | None:
+    """The clique size m if g is split, else None, by the degree-sequence
+    characterization (Hammer and Simeone, "The splittance of a graph",
+    1981).
 
     With d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the graph is
-    split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.  As i grows,
+    split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i, and then any m
+    vertices of the largest degrees are a clique and the rest an
+    independent set, which `certificates.check_split` checks.  As i grows,
     d_i - (i - 1) falls, so the i with d_i >= i - 1 are a prefix and the
     scan stops at the first that fails.
     """
@@ -292,16 +338,24 @@ def is_split(g: Graph) -> bool:
         m = i
     lhs = sum(degs[:m])
     rhs = m * (m - 1) + sum(degs[m:])
-    return lhs == rhs
+    return m if lhs == rhs else None
 
 
 def is_threshold(g: Graph) -> bool:
-    """Split and a cograph.  Threshold graphs are the graphs with no
-    induced 2K2, C4 or P4 (Chvatal and Hammer, "Aggregation of inequalities
-    in integer programming", 1977), split graphs those with no induced 2K2,
-    C4 or C5 (Foldes and Hammer, "Split graphs", 1977) and cographs those
-    with no induced P4; a C5 contains a P4."""
-    return is_split(g) and is_cograph(g)
+    return threshold_certificate(g) is not None
+
+
+def threshold_certificate(g: Graph) -> int | None:
+    """Split and a cograph: the split certificate m if g is both, else
+    None.  Threshold graphs are the graphs with no induced 2K2, C4 or P4
+    (Chvatal and Hammer, "Aggregation of inequalities in integer
+    programming", 1977), split graphs those with no induced 2K2, C4 or C5
+    (Foldes and Hammer, "Split graphs", 1977) and cographs those with no
+    induced P4; a C5 contains a P4.  `certificates.check_threshold` checks
+    m without a cotree: a split graph is threshold iff the neighbourhoods
+    of its independent side are nested."""
+    m = split_certificate(g)
+    return m if m is not None and is_cograph(g) else None
 
 
 def is_cograph(g: Graph) -> bool:
@@ -329,9 +383,12 @@ def is_cactus(g: Graph) -> bool:
     """Connected, and every biconnected block has no more edges than
     vertices: it is a single edge or a cycle, so no edge lies on two simple
     cycles.  A cactus has at most 3(n - 1)/2 edges, so denser graphs are
-    rejected without a search."""
+    rejected without a search, and a connected graph with at most n edges
+    has at most one cycle, so it is one without a search."""
     if g.n == 0 or 2 * g.edge_count() > 3 * (g.n - 1) or not is_connected(g):
         return False
+    if g.edge_count() <= g.n:
+        return True
     # g is connected, so its one component is every vertex
     return all(m <= verts.bit_count() for verts, m in _blocks(g, [(1 << g.n) - 1]))
 

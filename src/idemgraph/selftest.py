@@ -2,12 +2,16 @@
 checked independently, over every labeled graph with up to N vertices plus
 a seeded batch of random graphs.
 
-Planar and outerplanar run in their certifying form, once per graph.  A
-yes is checked by its certificate (`certificates`, a linear-time check of
-the pieces and their faces) and a no by the exhaustive minor search of
-`oracles`, which is slowest on a yes, since it must exhaust every
-contraction before it can say that no minor exists.  Split, threshold and
-cograph are checked against their forbidden-induced-subgraph oracles.
+Planar, outerplanar, split and threshold run in their certifying form,
+once per graph, and a verdict that comes with evidence is checked by
+`certificates` in linear time: a yes by its certificate (the pieces and
+their faces, or the clique size of a split or threshold graph), a planar or
+outerplanar no by the piece whose edge count rejects it.  Only a verdict
+with no evidence goes to the brute-force oracle of `oracles`: a planar or
+outerplanar no that path addition decided to the minor search, a split or
+threshold no and every cograph verdict to the forbidden-induced-subgraph
+search.  Those searches are slowest on a yes, where they must rule out
+every minor or pattern, and a yes always comes with its certificate.
 """
 
 from __future__ import annotations
@@ -53,20 +57,21 @@ def random_graph(n: int, rng: random.Random) -> Graph:
 
 
 def _compare(g: Graph, desc: str, disagreements: list[dict]):
-    """Run each checked recognizer once on g and check its verdict: a yes
-    of a row with a certificate by the row's checker, anything else by the
-    row's oracle.  A yes whose certificate fails is a disagreement with
-    the checker, which then reads False."""
+    """Run each checked recognizer once on g and check its verdict: one with
+    evidence by the row's checker, anything else by the row's oracle.  A
+    verdict whose evidence fails is a disagreement with the checker, which
+    then reads the opposite verdict: False for a yes certificate, True for
+    a no witness."""
     for prop in CHECKED:
         if prop.certify is None:
-            cert, a = None, prop.recognize(g)
+            a, evidence = prop.recognize(g), None
         else:
-            cert = prop.certify(g)
-            a = cert is not None
-        if cert is None:
+            a, evidence = prop.certify(g)
+        if evidence is None:
             checked_by, b = "oracle", prop.oracle(g)
         else:
-            checked_by, b = "certificate", prop.check(g, cert)
+            checked_by = "certificate" if a else "witness"
+            b = a == prop.check(g, a, evidence)
         if a != b:
             disagreements.append(
                 {

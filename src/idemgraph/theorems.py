@@ -77,19 +77,33 @@ class Property:
     only (and so is None for a local ring), its prediction from the
     local-factor profiles, its recognizer, and its brute-force oracle.
 
-    Planar and outerplanar also have a certifying form of the recognizer,
-    `certify(g)`, which returns None for no and a certificate for yes, and
-    the `check(g, certificate)` that confirms the certificate.  `selftest`
-    checks their yes verdicts by the certificate and their no verdicts by
-    the oracle, whose exhaustive minor search is slowest on a yes."""
+    Planar, outerplanar, split and threshold also have the certifying form
+    of the recognizer, `certify(g)`, which returns the verdict and its
+    evidence: a yes certificate, a no witness, or None when nothing cheap
+    proves the verdict.  `check(g, verdict, evidence)` says whether the
+    evidence proves the verdict.  `selftest` checks a verdict by its
+    evidence, and by the oracle only when there is none: the exhaustive
+    searches are slowest where they must rule every pattern out."""
 
     name: str
     nonlocal_only: bool
     predict: Callable[[Profiles], bool]
     recognize: Callable[[Graph], bool]
     oracle: Callable[[Graph], bool] | None = None
-    certify: Callable[[Graph], object | None] | None = None
-    check: Callable[[Graph, object], bool] | None = None
+    certify: Callable[[Graph], tuple[bool, object | None]] | None = None
+    check: Callable[[Graph, bool, object], bool] | None = None
+
+
+def _yes_only(cert) -> tuple[bool, object | None]:
+    """The verdict of a recognizer that returns a yes certificate or None,
+    with that certificate as its evidence."""
+    return cert is not None, cert
+
+
+def _checks(yes, no=None) -> Callable[[Graph, bool, object], bool]:
+    """check(g, verdict, evidence): yes(g, evidence) on a yes verdict, and
+    no(g, evidence) on a no."""
+    return lambda g, verdict, evidence: (yes if verdict else no)(g, evidence)
 
 
 # Rows look recognizers, is_connected and predict_connected up when called,
@@ -101,20 +115,24 @@ PROPERTIES: tuple[Property, ...] = (
     Property(
         "planar", True, predict_planar,
         lambda g: recognizers.is_planar(g), oracles.kuratowski_oracle,
-        lambda g: recognizers.planar_certificate(g), certificates.check_planar,
+        lambda g: recognizers.certify_planar(g),
+        _checks(certificates.check_planar, certificates.check_nonplanar),
     ),
     Property(
         "outerplanar", True, predict_never,
         lambda g: recognizers.is_outerplanar(g), oracles.outerplanar_oracle,
-        lambda g: recognizers.outerplanar_certificate(g), certificates.check_outerplanar,
+        lambda g: recognizers.certify_outerplanar(g),
+        _checks(certificates.check_outerplanar, certificates.check_nonouterplanar),
     ),
     Property(
         "split", True, predict_split,
         lambda g: recognizers.is_split(g), lambda g: oracles.split_oracle(g) is None,
+        lambda g: _yes_only(recognizers.split_certificate(g)), _checks(certificates.check_split),
     ),
     Property(
         "threshold", True, predict_split,
         lambda g: recognizers.is_threshold(g), lambda g: oracles.threshold_oracle(g) is None,
+        lambda g: _yes_only(recognizers.threshold_certificate(g)), _checks(certificates.check_threshold),
     ),
     Property(
         "cograph", True, predict_cograph,

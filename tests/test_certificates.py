@@ -1,26 +1,37 @@
 import ast
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from idemgraph import certificates, cli, recognizers, selftest
-from idemgraph.certificates import check_outerplanar, check_planar
-from idemgraph.graphs import build_idempotent_graph, graph_from_edges, graph_key, set_bits
-from idemgraph.oracles import kuratowski_oracle
-from idemgraph.recognizers import outerplanar_certificate, planar_certificate
+from idemgraph.certificates import (
+    check_nonouterplanar,
+    check_nonplanar,
+    check_outerplanar,
+    check_planar,
+    check_split,
+    check_threshold,
+)
+from idemgraph.graphs import build_idempotent_graph, cycle_graph, graph_from_edges, graph_key, path_graph, set_bits
+from idemgraph.oracles import kuratowski_oracle, split_oracle, threshold_oracle
+from idemgraph.recognizers import outerplanar_certificate, planar_certificate, split_certificate, threshold_certificate
 from idemgraph.rings import build_ring
-from idemgraph.selftest import random_graph
+from idemgraph.selftest import all_graphs, random_graph
 from idemgraph.sweep import SweepConfig, enumerate_sweep_specs
+from idemgraph.theorems import PROPERTIES
 
-from helpers import complete_bipartite_graph, complete_graph, time_budget
+from helpers import complete_bipartite_graph, complete_graph, disjoint_union, empty_graph, time_budget
 
 # The rings of the classify-large benchmark workload, 256 to 4,096 elements.
 LARGE_RINGS = ("Z4 * Z4 * Z4 * Z4 * Z4 * Z4", "GF(64) * GF(64)", " * ".join(["Z2"] * 8), "GF(16) * GF(16) * GF(16)")
 
 K33 = complete_bipartite_graph(3, 3)  # parts {0, 1, 2} and {3, 4, 5}
+# The table rows with a certifying recognizer.
+CERTIFIED = tuple(p for p in PROPERTIES if p.certify is not None)
 # The octahedron: 6 vertices and 12 = 3n - 6 edges, so only path addition
 # decides it, and its certificate is one piece with faces.
 OCTAHEDRON = graph_from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j - i != 3])
@@ -87,12 +98,23 @@ class TestCertificatesPass:
         assert outerplanar_certificate(path) == [(0b1111, None)]
         assert check_outerplanar(path, outerplanar_certificate(path))
 
-    def test_a_cycle_is_outerplanar_by_its_faces_with_the_apex(self):
-        cycle = graph_from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
-        cert = outerplanar_certificate(cycle)
+    def test_a_cycle_with_a_chord_is_outerplanar_by_its_faces_with_the_apex(self):
+        # 8 vertices and 9 edges in one block: no count decides it
+        g = graph_from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)])
+        cert = outerplanar_certificate(g)
         (verts, faces), = cert
         assert verts == 0xFF and any(8 in face for face in faces)
-        assert check_outerplanar(cycle, cert)
+        assert check_outerplanar(g, cert)
+
+    def test_a_cycle_is_one_piece_decided_by_its_cyclomatic_number(self):
+        # A connected piece with m <= k is outerplanar, and with m <= k + 2
+        # planar, so the 8-cycle's component needs no faces.
+        cycle = graph_from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+        assert outerplanar_certificate(cycle) == [(0xFF, None)]
+        assert check_outerplanar(cycle, [(0xFF, None)])
+        theta = graph_from_edges(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (2, 7)])
+        assert planar_certificate(theta) == [((1 << 10) - 1, None)]
+        assert check_planar(theta, planar_certificate(theta))
 
     def test_of_the_rotation_systems_of_k4_only_the_planar_two_pass(self):
         # K4 has 16 rotation systems; the planar embedding and its mirror
@@ -112,6 +134,7 @@ class TestCertificatesPass:
         graphs = [build_idempotent_graph(build_ring(spec)) for spec in groups.values()]
         graphs += [build_idempotent_graph(build_ring(spec)) for spec in LARGE_RINGS]
         yes = [0, 0]
+        tally = Counter()  # (property, verdict, with evidence) -> graphs
         with time_budget(2.0):
             for g in graphs:
                 for i, (certify, check) in enumerate(
@@ -121,7 +144,105 @@ class TestCertificatesPass:
                     if cert is not None:
                         assert check(g, cert), (check.__name__, g)
                         yes[i] += 1
+                for prop in CERTIFIED:
+                    verdict, evidence = prop.certify(g)
+                    assert verdict == prop.recognize(g), (prop.name, g)
+                    assert evidence is None or prop.check(g, verdict, evidence), (prop.name, g)
+                    tally[prop.name, verdict, evidence is not None] += 1
         assert yes == [56, 10]  # planar and outerplanar yes verdicts of the 226
+        # Every yes has a certificate, and every planar or outerplanar no but
+        # the 10 planar ones path addition decides has a count witness.
+        assert tally == {
+            ("planar", True, True): 56,
+            ("planar", False, True): 160,
+            ("planar", False, False): 10,
+            ("outerplanar", True, True): 10,
+            ("outerplanar", False, True): 216,
+            ("split", True, True): 6,
+            ("split", False, False): 220,
+            ("threshold", True, True): 5,
+            ("threshold", False, False): 221,
+        }
+
+
+class TestSplitAndThresholdCheckers:
+    def test_every_graph_up_to_five_vertices(self):
+        # A split (threshold) graph's m passes its checker, and no m, nor
+        # one outside 0..n, passes on a graph that is not split (threshold).
+        for n in range(6):
+            for g in all_graphs(n):
+                split, threshold = split_oracle(g) is None, threshold_oracle(g) is None
+                for m in range(-1, n + 2):
+                    if not split:
+                        assert not check_split(g, m), (m, sorted(g.edges()))
+                    if not threshold:
+                        assert not check_threshold(g, m), (m, sorted(g.edges()))
+                assert not check_split(g, -1) and not check_split(g, n + 1)
+                if split:
+                    assert check_split(g, split_certificate(g)), sorted(g.edges())
+                if threshold:
+                    assert check_threshold(g, threshold_certificate(g)), sorted(g.edges())
+
+    def test_a_wrong_m_on_a_split_graph(self):
+        # A triangle 0, 1, 2 with a pendant vertex 3 at 0: degrees 3, 2, 2, 1.
+        # The first 2 or 3 vertices are a clique with the rest independent;
+        # with 1 the edge 1-2 joins the independent side, with 4 the clique
+        # lacks 1-3, and with 0 every edge is on the independent side.
+        g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        assert split_certificate(g) == 3
+        assert [check_split(g, m) for m in range(-1, 6)] == [False, False, False, True, True, False, False]
+
+    def test_p4_is_split_with_m_2_but_not_threshold(self):
+        # Degrees 1, 2, 2, 1: the clique {1, 2} and the independent {0, 3},
+        # whose neighbourhoods {1} and {2} are not nested.
+        p4 = path_graph(4)
+        assert split_certificate(p4) == 2 and threshold_certificate(p4) is None
+        assert check_split(p4, 2)
+        assert not any(check_threshold(p4, m) for m in range(-1, 6))
+
+    def test_nested_neighbourhoods_on_a_threshold_graph(self):
+        # The star K1,3 at 0 plus the edge 1-2: m = 3 leaves 3 alone on the
+        # independent side, and m = 2 leaves 2 and 3, with N(3) = {0} inside
+        # N(2) = {0, 1}.
+        g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        assert threshold_certificate(g) == 3 and check_threshold(g, 3)
+        assert check_threshold(g, 2)
+
+
+class TestCountWitnesses:
+    def test_a_dense_piece_proves_a_no(self):
+        k5, k4 = complete_graph(5), complete_graph(4)
+        assert check_nonplanar(k5, 0b11111)
+        assert check_nonouterplanar(k4, 0b1111)
+        assert check_nonouterplanar(k5, 0b11110)  # a K4 inside K5
+
+    def test_too_few_induced_edges(self):
+        # K5 has 10 edges, but 4 of its vertices induce only 6 = 3k - 6; K5
+        # less an edge has 9 = 3k - 6; K4 less an edge has 5 = 2k - 3.
+        k5, k4 = complete_graph(5), complete_graph(4)
+        k5_less = graph_from_edges(5, [e for e in k5.edges() if e != (0, 1)])
+        k4_less = graph_from_edges(4, [e for e in k4.edges() if e != (0, 1)])
+        assert not check_nonplanar(k5, 0b01111)
+        assert not check_nonplanar(k5_less, 0b11111)
+        assert not check_nonouterplanar(k4_less, 0b1111)
+        assert not check_nonouterplanar(k5, 0b00111)  # a triangle: 3 = 2k - 3
+
+    def test_too_few_vertices(self):
+        # One edge is more than 3k - 6 = 0 on k = 2, and no edge more than
+        # 2k - 3 = -1 on k = 1, yet both pieces are planar and outerplanar.
+        k5 = complete_graph(5)
+        for mask in (0, 0b1, 0b11):
+            assert not check_nonplanar(k5, mask)
+        for mask in (0, 0b1):
+            assert not check_nonouterplanar(k5, mask)
+
+    def test_a_mask_outside_the_graph(self):
+        k5 = complete_graph(5)
+        for check in (check_nonplanar, check_nonouterplanar):
+            assert not check(k5, 0b111111)  # bit 5 is no vertex of K5
+            assert not check(k5, 1 << 5)
+            assert not check(k5, -1)
+            assert not check(k5, ~0b100000)
 
 
 class TestBogusCertificatesFail:
@@ -208,6 +329,16 @@ class TestBogusCertificatesFail:
         assert not check_planar(k4, [])
         assert check_planar(graph_from_edges(3, []), [])  # isolated vertices need no piece
 
+    def test_a_faceless_piece_in_two_parts(self):
+        # K3,3 and an isolated vertex have 9 = k + 2 edges on 7 vertices, and
+        # K2,3 and an isolated vertex 6 = k edges on 6; the cyclomatic rule
+        # holds only for a connected piece.
+        k33 = disjoint_union([K33, empty_graph(1)])
+        assert not check_planar(k33, [(0b1111111, None)])
+        k23 = disjoint_union([complete_bipartite_graph(2, 3), empty_graph(1)])
+        assert check_planar(k23, [(0b111111, None)])
+        assert not check_outerplanar(k23, [(0b111111, None)])
+
     def test_faces_of_a_piece_in_two_parts(self):
         # K3,3 and a disjoint triangle as one piece: the rotation system
         # that puts K3,3 on the torus (V - E + F = 0) and the triangle's two
@@ -235,52 +366,67 @@ class TestBogusCertificatesFail:
 
 
 @pytest.mark.parametrize(
-    "graph,certify,faces,line",
+    "graph,certify,evidence,line",
     [
-        (K33, "planar_certificate", [[0, 3, 1, 4, 2, 5], [5, 2, 4, 1, 3, 0]], "planar: recognizer=True certificate=False"),
-        (complete_graph(4), "outerplanar_certificate", None, "outerplanar: recognizer=True certificate=False"),
+        (
+            K33, "certify_planar", (True, [(0b111111, [[0, 3, 1, 4, 2, 5], [5, 2, 4, 1, 3, 0]])]),
+            "planar: recognizer=True certificate=False",
+        ),
+        (
+            complete_graph(4), "certify_outerplanar", (True, [(0b1111, None)]),
+            "outerplanar: recognizer=True certificate=False",
+        ),
+        (complete_graph(4), "certify_planar", (False, 0b1111), "planar: recognizer=False witness=True"),
+        (cycle_graph(5), "split_certificate", 2, "split: recognizer=True certificate=False"),
+        (path_graph(4), "threshold_certificate", 2, "threshold: recognizer=True certificate=False"),
     ],
-    ids=["K33-planar", "K4-outerplanar"],
+    ids=["K33-planar", "K4-outerplanar", "K4-nonplanar", "C5-split", "P4-threshold"],
 )
-def test_selftest_reports_a_bogus_certificate(graph, certify, faces, line, monkeypatch, capsys):
-    # A recognizer that says yes on a graph that is not planar (outerplanar)
-    # and hands over a made-up certificate: the checker rejects it, and
-    # selftest reports the disagreement and exits 2.
+def test_selftest_reports_a_bogus_certificate(graph, certify, evidence, line, monkeypatch, capsys):
+    # A recognizer that gives the wrong verdict on a graph with made-up
+    # evidence for it: the checker rejects the evidence, and selftest
+    # reports the disagreement and exits 2.
     monkeypatch.setattr(selftest, "random_graph", lambda n, rng: graph)
     real = getattr(recognizers, certify)
-    monkeypatch.setattr(recognizers, certify, lambda g: [((1 << g.n) - 1, faces)] if g is graph else real(g))
+    monkeypatch.setattr(recognizers, certify, lambda g: evidence if g is graph else real(g))
     assert cli.main(["selftest", "--exhaustive-n", "0", "--random-count", "1", "--random-n", str(graph.n)]) == 2
     out = capsys.readouterr().out
     assert "disagreements  1" in out
     assert line in out
 
 
-def test_selftest_checks_yes_by_certificate_and_no_by_oracle(monkeypatch):
-    # On 40 of criterion 9's random graphs, the checker sees each planar or
-    # outerplanar yes and the oracle each no, never both.
+def test_selftest_asks_an_oracle_only_about_a_no_without_evidence(monkeypatch):
+    # On the graphs of at most 4 vertices and 40 of criterion 9's random
+    # graphs, every verdict of the four certifying rows is checked once: a
+    # no without evidence by the oracle, any other by the checker.
     calls = []
 
     def counted(prop):
         return replace(
             prop,
             oracle=lambda g: calls.append((prop.name, "oracle")) or prop.oracle(g),
-            check=prop.check and (lambda g, c: calls.append((prop.name, "check")) or prop.check(g, c)),
+            check=prop.check and (lambda g, v, e: calls.append((prop.name, "check")) or prop.check(g, v, e)),
         )
 
     monkeypatch.setattr(selftest, "CHECKED", tuple(map(counted, selftest.CHECKED)))
     rng = random.Random(0)
-    expected, disagreements = [], []
-    for i in range(40):
-        g = random_graph(12, rng)
+    sample = [g for n in range(5) for g in all_graphs(n)] + [random_graph(12, rng) for _ in range(40)]
+    tally, disagreements = Counter(), []
+    for i, g in enumerate(sample):
         calls.clear()
         selftest._compare(g, str(i), disagreements)
-        assert calls == [
-            ("planar", "oracle" if planar_certificate(g) is None else "check"),
-            ("outerplanar", "oracle" if outerplanar_certificate(g) is None else "check"),
-            ("split", "oracle"),
-            ("threshold", "oracle"),
-            ("cograph", "oracle"),
-        ]
-        expected.append(planar_certificate(g) is not None)
+        expected = []
+        for prop in CERTIFIED:
+            verdict, evidence = prop.certify(g)
+            assert verdict == prop.recognize(g)
+            assert not verdict or evidence is not None  # every yes has a certificate
+            by = "oracle" if evidence is None else "check"
+            expected.append((prop.name, by))
+            tally[prop.name, verdict, by] += 1
+        assert calls == expected + [("cograph", "oracle")]
     assert disagreements == []
-    assert 0 < sum(expected) < 40
+    # each kind of evidence, and the oracle, is reached
+    for name in ("planar", "outerplanar"):
+        assert {(v, by) for p, v, by in tally if p == name} == {(True, "check"), (False, "check"), (False, "oracle")}
+    for name in ("split", "threshold"):
+        assert {(v, by) for p, v, by in tally if p == name} == {(True, "check"), (False, "oracle")}

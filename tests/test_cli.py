@@ -751,6 +751,23 @@ class TestRowsMadeOnDemand:
             assert rows.passes == 0 and rows.rows.every is None
             assert set(rows.read) == set(rows.rows.made)
 
+    def test_classify_z4096_makes_three_rows(self, monkeypatch, capsys):
+        # Z4096's graph is a path: the planar, outerplanar and cactus counts
+        # of its one component decide it, so only the cograph walk reads rows
+        built, build = [], cli.build_idempotent_graph
+
+        def counting(ring):
+            g = build(ring)
+            g.rows = CountedRows(g.rows)
+            built.append(g.rows)
+            return g
+
+        monkeypatch.setattr(cli, "build_idempotent_graph", counting)
+        assert main(["classify", "Z4096"]) == 0
+        (rows,) = built
+        assert len(rows.rows.made) <= 3
+        assert rows.passes == 0 and rows.rows.every is None
+
     @pytest.mark.parametrize("command", ["classify", "export"])
     def test_a_dot_file_reads_the_rows_in_one_pass(self, command, monkeypatch, capsys, tmp_path):
         built, build = [], cli.build_idempotent_graph

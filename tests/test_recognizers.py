@@ -165,6 +165,15 @@ class TestCactusUnicyclic:
         assert is_cactus(g)
         assert not is_unicyclic(g)
 
+    def test_a_connected_graph_with_at_most_n_edges_needs_no_block_search(self, monkeypatch):
+        # a tree and a cycle with paths hanging off it: at most one cycle
+        searched = record_block_searches(monkeypatch)
+        assert is_cactus(path_graph(6))
+        assert is_cactus(graph_from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (0, 5), (5, 6)]))
+        assert searched == []
+        assert is_cactus(graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]))
+        assert len(searched) == 1
+
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_windmill_sits_on_the_edge_bound(self, k):
         # k triangles through vertex 0: n = 2k + 1 and m = 3k = 3(n - 1)/2,
@@ -396,6 +405,27 @@ class TestCountsPerComponent:
         assert searched == [[]]
         assert embedded == []
         assert recognizers.planar_certificate(g) == [(comp, None) for comp, _, _ in g.components()]
+
+    def test_the_cyclomatic_rule_decides_components_and_blocks_not_the_whole_graph(self, monkeypatch):
+        # K3,3 and an isolated vertex: 9 = n + 2 edges on 7 vertices, but the
+        # component has 9 > k + 2 edges on its 6, so path addition decides
+        # it.  K2,3 and an isolated vertex likewise: 6 = n edges, 6 > k on 5.
+        k33 = disjoint_union([complete_bipartite_graph(3, 3), empty_graph(1)])
+        k23 = disjoint_union([complete_bipartite_graph(2, 3), empty_graph(1)])
+        assert (k33.n, k33.edge_count(), k23.n, k23.edge_count()) == (7, 9, 6, 6)
+        embedded = record_embeddings(monkeypatch)
+        assert not is_planar(k33) and not kuratowski_oracle(k33)
+        assert not is_outerplanar(k23) and not outerplanar_oracle(k23)
+        assert is_planar(k23)
+        assert embedded == [None, None]
+        # A path and a cycle of 4,096 vertices are one component each, which
+        # the rule decides, so the block search is given no component.
+        searched = record_block_searches(monkeypatch)
+        cycle = graph_from_edges(4096, [(v, (v + 1) % 4096) for v in range(4096)])
+        for g in (path_graph(4096), cycle):
+            whole = [((1 << 4096) - 1, None)]
+            assert recognizers.planar_certificate(g) == recognizers.outerplanar_certificate(g) == whole
+        assert searched == [[]] * 4
 
     def test_one_k5_component_is_rejected_by_its_counts(self, monkeypatch):
         g = disjoint_union(self.K4S + [complete_graph(5)])
